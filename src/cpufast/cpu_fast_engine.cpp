@@ -39,11 +39,19 @@ void CpuFastEngine::materialize_edge_set() {
 }
 
 void CpuFastEngine::apply(std::span<const EdgeUpdate> updates) {
+  // Each run of consecutive insertions goes to add_edges() as one batch;
+  // a deletion first flushes the run before it, so it sees those inserts.
+  std::vector<Edge> inserts;
+  const auto flush_inserts = [&] {
+    add_edges(inserts);
+    inserts.clear();
+  };
   for (const EdgeUpdate& u : updates) {
     if (u.is_insert) {
-      add_edges({&u.edge, 1});
+      inserts.push_back(u.edge);
       continue;
     }
+    flush_inserts();
     ++edges_streamed_;
     if (u.edge.is_loop()) continue;
     if (!tracking_) materialize_edge_set();
@@ -53,6 +61,7 @@ void CpuFastEngine::apply(std::span<const EdgeUpdate> updates) {
       ++delete_misses_;  // never inserted (or already deleted): counted no-op
     }
   }
+  flush_inserts();
   if (!updates.empty()) dirty_ = true;
 }
 

@@ -10,8 +10,14 @@ void EdgeList::assign(std::vector<Edge> edges) {
 }
 
 void EdgeList::append(std::span<const Edge> batch) {
-  edges_.reserve(edges_.size() + batch.size());
-  for (const Edge& e : batch) push_back(e);
+  // insert() grows the vector geometrically; reserving size() + batch
+  // here would reallocate on every small append (quadratic for a stream
+  // of one-edge batches).
+  for (const Edge& e : batch) {
+    if (e.u >= num_nodes_) num_nodes_ = e.u + 1;
+    if (e.v >= num_nodes_) num_nodes_ = e.v + 1;
+  }
+  edges_.insert(edges_.end(), batch.begin(), batch.end());
 }
 
 void EdgeList::rescan_num_nodes() {

@@ -7,31 +7,16 @@
 
 namespace pimtc::pim {
 
-void Tasklet::instr(std::uint64_t n) noexcept {
-  dpu_->phase_.instr[id_] += n;
-  dpu_->lifetime_instr_ += n;
-}
-
 void Tasklet::mram_read(std::uint64_t mram_offset, void* dst,
                         std::size_t bytes) {
   dpu_->mram_.read(mram_offset, dst, bytes);
-  dpu_->charge_dma(id_, bytes);
+  dma(bytes);
 }
 
 void Tasklet::mram_write(std::uint64_t mram_offset, const void* src,
                          std::size_t bytes) {
   dpu_->mram_.write(mram_offset, src, bytes);
-  dpu_->charge_dma(id_, bytes);
-}
-
-void Dpu::charge_dma(std::uint32_t tasklet, std::size_t bytes) noexcept {
-  const auto aligned = round_up(bytes, config_.dma_alignment_bytes);
-  const double byte_cycles =
-      static_cast<double>(aligned) * config_.dma_cycles_per_byte;
-  phase_.dma_latency[tasklet] += config_.dma_setup_cycles + byte_cycles;
-  phase_.engine_cycles += config_.dma_engine_cycles + byte_cycles;
-  lifetime_dma_bytes_ += bytes;
-  ++lifetime_dma_transfers_;
+  dma(bytes);
 }
 
 double Dpu::dma_cost_cycles(std::size_t bytes) const noexcept {
@@ -46,36 +31,40 @@ void Dpu::parallel(std::uint32_t num_tasklets,
   if (num_tasklets == 0 || num_tasklets > config_.max_tasklets) {
     throw std::invalid_argument("Dpu::parallel: bad tasklet count");
   }
-  if (phase_.active) {
+  if (in_parallel_) {
     throw std::logic_error("Dpu::parallel: nested parallel sections");
   }
-  phase_.active = true;
-  phase_.instr.assign(num_tasklets, 0);
-  phase_.dma_latency.assign(num_tasklets, 0.0);
-  phase_.engine_cycles = 0.0;
+  in_parallel_ = true;
 
-  for (std::uint32_t t = 0; t < num_tasklets; ++t) {
-    phase_.current_tasklet = t;
-    Tasklet tasklet(*this, t);
-    body(tasklet);
-  }
-
-  // Fold the phase into the cycle account (see header for the model).
+  // Run each tasklet, folding its account into the phase (see header for
+  // the model).  A tasklet's DMA latency is transfers x setup plus its
+  // padded bytes x the per-byte cost: the closed form of summing each
+  // transfer's charge, bit for bit (every term is an integer-valued double
+  // far below 2^53, so no sum here rounds).
   const double s = config_.pipeline_saturation_tasklets;
   std::uint64_t total = 0;
   double straggler_bound = 0.0;
+  double engine_cycles = 0.0;  // shared DMA engine occupancy
   for (std::uint32_t t = 0; t < num_tasklets; ++t) {
-    total += phase_.instr[t];
-    straggler_bound =
-        std::max(straggler_bound, static_cast<double>(phase_.instr[t]) * s +
-                                      phase_.dma_latency[t]);
+    Tasklet tasklet(*this, t);
+    body(tasklet);
+    const double byte_cycles = static_cast<double>(tasklet.aligned_bytes_) *
+                               config_.dma_cycles_per_byte;
+    const auto transfers = static_cast<double>(tasklet.transfers_);
+    const double latency = transfers * config_.dma_setup_cycles + byte_cycles;
+    engine_cycles += transfers * config_.dma_engine_cycles + byte_cycles;
+    straggler_bound = std::max(
+        straggler_bound, static_cast<double>(tasklet.instr_) * s + latency);
+    total += tasklet.instr_;
+    lifetime_instr_ += tasklet.instr_;
+    lifetime_dma_bytes_ += tasklet.bytes_;
+    lifetime_dma_transfers_ += tasklet.transfers_;
   }
+
   const double issue_bound =
       static_cast<double>(total) * std::max(1.0, s / num_tasklets);
-  const double phase_cycles =
-      std::max({issue_bound, straggler_bound, phase_.engine_cycles});
-  cycles_ += phase_cycles;
-  phase_.active = false;
+  cycles_ += std::max({issue_bound, straggler_bound, engine_cycles});
+  in_parallel_ = false;
 }
 
 void Dpu::serial_instr(std::uint64_t n) noexcept {

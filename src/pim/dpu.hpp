@@ -22,8 +22,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
+#include "common/math_util.hpp"
 #include "pim/config.hpp"
 #include "pim/mram.hpp"
 #include "pim/wram.hpp"
@@ -33,15 +33,20 @@ namespace pimtc::pim {
 class Dpu;
 
 /// Handle a kernel uses to execute as one tasklet: charges instructions and
-/// issues DMA on behalf of tasklet `id()`.
+/// issues DMA on behalf of tasklet `id()`.  Only Dpu::parallel() creates
+/// tasklets; the tasklet keeps its own account, folded into the phase when
+/// its body returns.
 class Tasklet {
  public:
-  Tasklet(Dpu& dpu, std::uint32_t id) : dpu_(&dpu), id_(id) {}
-
   [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
 
   /// Charges `n` pipeline instructions to this tasklet.
-  void instr(std::uint64_t n) noexcept;
+  void instr(std::uint64_t n) noexcept { instr_ += n; }
+
+  /// Charges `transfers` MRAM<->WRAM DMA transfers of `bytes` each without
+  /// moving data: for kernels whose host execution moves the bytes in bulk
+  /// but must charge every burst the modeled kernel issues.
+  void dma(std::size_t bytes, std::uint64_t transfers = 1) noexcept;
 
   /// DMA MRAM -> WRAM (functionally a read into `dst`).
   void mram_read(std::uint64_t mram_offset, void* dst, std::size_t bytes);
@@ -64,8 +69,18 @@ class Tasklet {
   }
 
  private:
+  friend class Dpu;
+
+  Tasklet(Dpu& dpu, std::uint32_t id) : dpu_(&dpu), id_(id) {}
+
   Dpu* dpu_;
   std::uint32_t id_;
+  // This tasklet's share of the phase: issued instructions and DMA
+  // transfers (count, alignment-padded bytes, requested bytes).
+  std::uint64_t instr_ = 0;
+  std::uint64_t transfers_ = 0;
+  std::uint64_t aligned_bytes_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
 class Dpu {
@@ -128,7 +143,6 @@ class Dpu {
   friend class Tasklet;
 
   [[nodiscard]] double dma_cost_cycles(std::size_t bytes) const noexcept;
-  void charge_dma(std::uint32_t tasklet, std::size_t bytes) noexcept;
 
   PimSystemConfig config_;  // by value: the Dpu outlives any caller config
   std::uint32_t id_;
@@ -139,16 +153,14 @@ class Dpu {
   std::uint64_t lifetime_instr_ = 0;
   std::uint64_t lifetime_dma_bytes_ = 0;
   std::uint64_t lifetime_dma_transfers_ = 0;
-
-  // Per-phase accounting, valid while parallel() runs.
-  struct PhaseAccount {
-    std::vector<std::uint64_t> instr;        // per tasklet
-    std::vector<double> dma_latency;         // per tasklet
-    double engine_cycles = 0.0;              // shared DMA engine occupancy
-    bool active = false;
-    std::uint32_t current_tasklet = 0;
-  };
-  PhaseAccount phase_;
+  bool in_parallel_ = false;
 };
+
+inline void Tasklet::dma(std::size_t bytes, std::uint64_t transfers) noexcept {
+  transfers_ += transfers;
+  aligned_bytes_ +=
+      transfers * round_up(bytes, dpu_->config_.dma_alignment_bytes);
+  bytes_ += transfers * bytes;
+}
 
 }  // namespace pimtc::pim

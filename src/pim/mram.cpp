@@ -2,16 +2,21 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 #include <string>
 
 namespace pimtc::pim {
 
-void MramBank::write(std::uint64_t offset, const void* src, std::size_t bytes) {
+void MramBank::check_range(std::uint64_t offset, std::uint64_t bytes) const {
   if (offset + bytes > capacity_) {
     throw PimMemoryError("MRAM bank overflow: access up to byte " +
                          std::to_string(offset + bytes) +
                          " exceeds capacity " + std::to_string(capacity_));
   }
+}
+
+void MramBank::write(std::uint64_t offset, const void* src, std::size_t bytes) {
+  check_range(offset, bytes);
   ++write_calls_;
   const auto* s = static_cast<const std::uint8_t*>(src);
   std::uint64_t pos = offset;
@@ -23,7 +28,8 @@ void MramBank::write(std::uint64_t offset, const void* src, std::size_t bytes) {
         std::min<std::uint64_t>(remaining, kPageBytes - in_page));
     auto& page = pages_[page_idx];
     if (!page) {
-      page = std::make_unique<Page>();
+      page.reset(static_cast<Page*>(std::calloc(1, sizeof(Page))));
+      if (!page) throw std::bad_alloc();
       ++resident_pages_;
     }
     std::memcpy(page->data + in_page, s, chunk);

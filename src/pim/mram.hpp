@@ -7,12 +7,14 @@
 // actually touched, even when data structures sit at capacity-derived
 // offsets deep inside the bank.  Reads of never-written pages return zeros
 // deterministically (like DRAM after a reset) without allocating the page.
-// Access-call counters let tests and benches verify that hot paths batch
-// their traffic instead of issuing per-record operations.
+// Pages come from calloc, so a fresh page is zero without a second pass
+// over its 64 KB.  Access-call counters let tests and benches verify that
+// hot paths batch their traffic instead of issuing per-record operations.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -53,6 +55,12 @@ class MramBank {
   }
 
   void write(std::uint64_t offset, const void* src, std::size_t bytes);
+
+  /// The bounds check of write() alone: throws PimMemoryError unless
+  /// [offset, offset + bytes) lies inside the bank.  For kernel scratch
+  /// data the host execution keeps in host memory instead of the bank.
+  void check_range(std::uint64_t offset, std::uint64_t bytes) const;
+
   /// Reads `bytes` at `offset`; spans of never-written pages read as zeros.
   void read(std::uint64_t offset, void* dst, std::size_t bytes) const;
 
@@ -83,9 +91,13 @@ class MramBank {
   struct Page {
     std::uint8_t data[kPageBytes];
   };
+  struct FreePage {
+    void operator()(Page* page) const noexcept { std::free(page); }
+  };
+  using PagePtr = std::unique_ptr<Page, FreePage>;
 
   std::uint64_t capacity_;
-  std::vector<std::unique_ptr<Page>> pages_;
+  std::vector<PagePtr> pages_;
   std::uint64_t resident_pages_ = 0;
   std::uint64_t high_water_ = 0;
   std::uint64_t write_calls_ = 0;

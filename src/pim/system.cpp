@@ -1,6 +1,7 @@
 #include "pim/system.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -286,7 +287,7 @@ PimSystem::LaunchReport PimSystem::launch_checked(
   for (std::size_t i = 0; i < run.size(); ++i) {
     before[i] = dpus_[run[i]]->cycles();
   }
-  pool_->parallel_for(run.size(), [&](std::size_t i) {
+  run_kernels(run.size(), [&](std::size_t i) {
     dpus_[run[i]]->wram().reset();
     kernel(*dpus_[run[i]]);
   });
@@ -308,6 +309,25 @@ PimSystem::LaunchReport PimSystem::launch_checked(
   return report;
 }
 
+void PimSystem::run_kernels(std::size_t n,
+                            const std::function<void(std::size_t)>& run) {
+  // One task per host worker, each pulling the next bank off a shared
+  // cursor until none is left.  Kernel costs vary by bank (a heavy triplet
+  // does several times the work of a light one), so contiguous blocks
+  // would leave the worker that drew the heavy block running alone.  Each
+  // bank's modeled cycles depend only on its own state, never on which
+  // worker ran it or when.
+  if (n == 0) return;
+  std::atomic<std::size_t> next{0};
+  pool_->parallel_chunks(pool_->size(),
+                         [&](std::size_t, std::size_t, std::size_t) {
+                           for (std::size_t i = next.fetch_add(1); i < n;
+                                i = next.fetch_add(1)) {
+                             run(i);
+                           }
+                         });
+}
+
 void PimSystem::charge_host(double seconds, double PimPhaseTimes::* phase) {
   times_.*phase += seconds;
 }
@@ -327,7 +347,7 @@ void PimSystem::launch_on(std::uint32_t count,
   std::vector<double> before(count);
   for (std::uint32_t i = 0; i < count; ++i) before[i] = dpus_[i]->cycles();
 
-  pool_->parallel_for(count, [&](std::size_t i) {
+  run_kernels(count, [&](std::size_t i) {
     dpus_[i]->wram().reset();
     kernel(*dpus_[i]);
   });

@@ -20,8 +20,9 @@
 // payload-vs-wire gap from that padding is tracked in TransferStats.
 //
 // Functional execution of the per-DPU kernels is parallelized across host
-// threads; simulated kernel time is the max over DPUs, matching a real
-// launch that waits for the slowest DPU.
+// threads, which pull banks one at a time from a shared cursor; simulated
+// kernel time is the max over DPUs, matching a real launch that waits for
+// the slowest DPU.
 #pragma once
 
 #include <cstdint>
@@ -205,6 +206,9 @@ class PimSystem {
  private:
   double charge_bulk(std::span<const std::uint64_t> per_dpu_bytes, bool push,
                      double PimPhaseTimes::* phase);
+  /// Runs run(i) for i in [0, n) on the pool, handing indices out
+  /// dynamically (the functional half of a launch).
+  void run_kernels(std::size_t n, const std::function<void(std::size_t)>& run);
   void flip_mram_bit(std::uint32_t dpu, std::uint64_t byte_offset,
                      std::uint32_t bit);
   double corrupt_scatter(std::span<const ScatterSpan> spans,

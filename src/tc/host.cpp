@@ -859,11 +859,13 @@ TcResult PimTriangleCounter::recount() {
       }
     }
   }
-  const auto kernel = [&params, &full_pass](pim::Dpu& dpu) {
+  // The kernels' host scratch lives for this recount only.
+  KernelScratchPool scratch;
+  const auto kernel = [&params, &full_pass, &scratch](pim::Dpu& dpu) {
     if (full_pass[dpu.id()]) {
-      run_count_kernel(dpu, params);
+      run_count_kernel(dpu, params, scratch);
     } else {
-      run_incremental_kernel(dpu, params);
+      run_incremental_kernel(dpu, params, scratch);
     }
   };
   if (fault_plan_ == nullptr) {

@@ -7,10 +7,10 @@
 // module owns everything that problem needs so the two kernels cannot
 // diverge again:
 //
-//  * WRAM-buffered MRAM stream readers/writers (the DMA discipline every
-//    phase shares),
-//  * the sampled WRAM `RegionCache` + `find_region` lookup that keeps the
-//    per-query MRAM probe chain at ~log2(stride) instead of log2(regions),
+//  * the DMA charge of a WRAM-buffered MRAM stream (`charge_stream`, the
+//    discipline every phase shares),
+//  * the sampled WRAM `RegionCache` lookup that keeps the per-query MRAM
+//    probe chain at ~log2(stride) instead of log2(regions),
 //  * the adaptive `intersect_regions` primitive: linear merge or block-
 //    galloping binary search, selected per intersection by a cost model
 //    (`IntersectPolicy::kAuto`) or forced by policy — the match set, and
@@ -19,13 +19,17 @@
 //    contiguous run of expensive queries is spread round-robin over the
 //    tasklets instead of landing on one,
 //  * the `IntersectTally` diagnostics both kernels report through DpuMeta.
+//
+// Host execution (DESIGN.md, "Simulator execution vs. modeled cost"): the
+// functions here read host copies of the bank arrays directly and charge
+// the DMA bursts and instructions the modeled kernel issues, in closed form
+// where the burst sequence is fixed by sizes alone.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/math_util.hpp"
@@ -39,87 +43,29 @@ namespace pimtc::tc {
 // WRAM-buffered MRAM streams
 // ---------------------------------------------------------------------------
 
-/// Buffered sequential MRAM reader for trivially copyable records: models a
-/// tasklet streaming a region of the bank through a WRAM buffer.  DMA is
-/// charged per refill.
-template <typename T>
-class StreamReader {
- public:
-  StreamReader(pim::Tasklet& t, std::span<T> buf, std::uint64_t base,
-               std::uint64_t begin_idx, std::uint64_t end_idx)
-      : t_(&t),
-        buf_(buf),
-        base_(base),
-        next_fetch_(begin_idx),
-        buf_base_(begin_idx),
-        end_(end_idx) {}
+/// Charges the DMA of `count` records of `record_bytes` streamed through a
+/// `buffer`-record WRAM buffer: one burst per full buffer plus one for the
+/// partial tail — the refills of a sequential reader, or the flushes of a
+/// sequential writer.
+inline void charge_stream(pim::Tasklet& t, std::uint64_t count,
+                          std::uint64_t buffer, std::size_t record_bytes) {
+  const std::uint64_t full = count / buffer;
+  const std::uint64_t tail = count % buffer;
+  if (full > 0) t.dma(buffer * record_bytes, full);
+  if (tail > 0) t.dma(tail * record_bytes);
+}
 
-  bool next(T& out) {
-    if (cursor_ >= filled_) {
-      if (next_fetch_ >= end_) return false;
-      refill();
-    }
-    out = buf_[cursor_++];
-    return true;
-  }
-
-  /// Absolute index (within the MRAM array) of the record most recently
-  /// returned by next().
-  [[nodiscard]] std::uint64_t last_index() const noexcept {
-    return buf_base_ + cursor_ - 1;
-  }
-
- private:
-  void refill() {
-    const std::uint64_t count =
-        std::min<std::uint64_t>(buf_.size(), end_ - next_fetch_);
-    t_->mram_read(base_ + next_fetch_ * sizeof(T), buf_.data(),
-                  count * sizeof(T));
-    buf_base_ = next_fetch_;
-    next_fetch_ += count;
-    filled_ = static_cast<std::size_t>(count);
-    cursor_ = 0;
-  }
-
-  pim::Tasklet* t_;
-  std::span<T> buf_;
-  std::uint64_t base_;
-  std::uint64_t next_fetch_;
-  std::uint64_t buf_base_;
-  std::uint64_t end_;
-  std::size_t cursor_ = 0;
-  std::size_t filled_ = 0;
-};
-
-using EdgeReader = StreamReader<Edge>;
-
-/// Buffered sequential MRAM writer.
-template <typename T>
-class StreamWriter {
- public:
-  StreamWriter(pim::Tasklet& t, std::span<T> buf, std::uint64_t base,
-               std::uint64_t begin_idx)
-      : t_(&t), buf_(buf), base_(base), pos_(begin_idx) {}
-
-  void put(const T& value) {
-    buf_[cursor_++] = value;
-    if (cursor_ == buf_.size()) flush();
-  }
-
-  void flush() {
-    if (cursor_ == 0) return;
-    t_->mram_write(base_ + pos_ * sizeof(T), buf_.data(), cursor_ * sizeof(T));
-    pos_ += cursor_;
-    cursor_ = 0;
-  }
-
- private:
-  pim::Tasklet* t_;
-  std::span<T> buf_;
-  std::uint64_t base_;
-  std::uint64_t pos_;
-  std::size_t cursor_ = 0;
-};
+/// Records a buffered reader over [begin, end) has fetched once the record
+/// at `next` is current (or the stream ran out at `next == end`): whole
+/// refills up to and including that record, capped at the stream end.
+[[nodiscard]] inline std::uint64_t stream_fetched(std::uint64_t begin,
+                                                  std::uint64_t end,
+                                                  std::uint64_t next,
+                                                  std::uint64_t buffer) {
+  const std::uint64_t len = end - begin;
+  const std::uint64_t consumed = std::min(next - begin + 1, len);
+  return std::min(ceil_div(consumed, buffer) * buffer, len);
+}
 
 // ---------------------------------------------------------------------------
 // Work scheduling
@@ -200,38 +146,64 @@ struct Region {
 /// searches the cache with WRAM-speed instructions, leaving only ~log2(k)
 /// MRAM probes inside the narrowed window — the real kernels keep exactly
 /// such a sampled index resident to avoid DMA-bound searches.
+///
+/// The host never runs those searches.  Every charge of a lookup — the
+/// cache search's iterations, the window, the in-window probes, each DMA
+/// size — is a function of the key's rank in the region table alone, so
+/// the cache keeps a host-only rank index over the table (a bucket
+/// directory over the node ids below the remapped-hub band, which is
+/// searched on its own) and derives the charges from the rank, hit or
+/// miss.  One object serves every kernel run of a scratch set: build()
+/// reuses its storage.
 class RegionCache {
  public:
   static constexpr std::uint64_t kSlots = 2048;  // 16 KB of WRAM
 
-  /// Streams the region table once (block-parallel boot work) and keeps
-  /// every stride-th entry.  Owns its storage like the remap table: it
-  /// models a statically allocated WRAM structure, budgeted in
-  /// max_wram_buffer_edges().  With `enabled` false the cache stays empty
-  /// and every lookup degrades to the full-table MRAM binary search — the
+  /// Loads one bank's region table (`table`, a host copy): charges the
+  /// block-parallel boot stream over it that keeps every stride-th entry,
+  /// and builds the host rank index.  Owns no WRAM: the cache models a
+  /// statically allocated WRAM structure, budgeted in
+  /// max_wram_buffer_edges().  With `enabled` false there is no cache and
+  /// no boot stream; every lookup searches the whole table in MRAM — the
   /// pre-cache kernel behavior, kept as an ablation baseline.
-  RegionCache(pim::Dpu& dpu, std::uint32_t tasklets,
-              std::uint32_t buffer_edges, std::uint64_t reg,
-              std::uint64_t num_regions, bool enabled = true);
+  void build(pim::Dpu& dpu, std::uint32_t tasklets,
+             std::uint32_t buffer_edges, std::span<const RegionEntry> table,
+             bool enabled);
 
-  /// Region-index window [lo, hi) that must contain `key`, if present.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> window(
-      NodeId key, std::uint64_t& instr) const;
+  /// Region bounds of `key` (end = next region's begin, or `n`), charging
+  /// the lookup's DMA to `t` and its instructions to `instr`.  Not-found
+  /// regions return found() == false.
+  [[nodiscard]] Region find(pim::Tasklet& t, const pim::KernelCostModel& cost,
+                            NodeId key, std::uint64_t n,
+                            std::uint64_t& instr) const;
 
  private:
-  std::vector<RegionEntry> cache_;
-  std::uint64_t stride_ = 1;
-  std::uint64_t num_regions_ = 0;
-};
+  /// Number of region nodes < key.
+  [[nodiscard]] std::uint64_t rank(NodeId key) const noexcept;
+  /// Iterations of the in-window MRAM binary search over a wide window of
+  /// `len` entries that ends at position `pos`.
+  [[nodiscard]] std::uint64_t window_probes(std::uint64_t len,
+                                            std::uint64_t pos) const;
 
-/// Region bounds of `key` (end = next region's begin, or n), using the WRAM
-/// region cache to keep MRAM probes at ~log2(stride).  Not-found regions
-/// return found() == false.
-[[nodiscard]] Region find_region(pim::Tasklet& t,
-                                 const pim::KernelCostModel& cost,
-                                 std::uint64_t reg, std::uint64_t num_regions,
-                                 NodeId key, std::uint64_t n,
-                                 const RegionCache& cache);
+  std::vector<NodeId> nodes_;          ///< table nodes + a sentinel
+  std::vector<std::uint32_t> begins_;  ///< table begins
+  std::uint64_t num_regions_ = 0;
+  std::uint64_t slots_ = 0;  ///< sampled entries (0: no cache)
+  std::uint64_t stride_ = 1;
+  std::vector<std::uint16_t> above_;  ///< above_[x] = ceil(x / stride)
+  // Iteration counts of the cache search and of the in-window search over
+  // a full window and over the last one (bisect depth per end position).
+  std::vector<std::uint8_t> cache_depth_;
+  std::vector<std::uint8_t> window_depth_;
+  std::vector<std::uint8_t> last_depth_;
+  // Rank directory over the ids below the remapped band: bucket b covers
+  // ids [base_ + (b << shift_), base_ + ((b + 1) << shift_)).
+  std::vector<std::uint32_t> bucket_;
+  NodeId base_ = 0;
+  std::uint32_t shift_ = 0;
+  std::uint64_t num_buckets_ = 0;
+  std::uint64_t band_lo_ = 0;  ///< rank of the remapped band's first id
+};
 
 // ---------------------------------------------------------------------------
 // Adaptive intersection
@@ -246,37 +218,38 @@ class RegionCache {
                                  std::uint64_t small_size,
                                  std::uint64_t large_size) noexcept;
 
-/// Position of the first record in [r.begin, r.end) with .v >= w.  Each
-/// probe fetches an 8-edge block, resolving three levels per DMA burst
-/// (the fixed setup cost dominates tiny reads); a final linear resolve
-/// handles the <= 8 remaining entries.  Probes are counted into `tally`,
-/// instructions into `instr`.
+/// Position of the first record in [r.begin, r.end) of `sorted` (a host
+/// copy of the bank array) with .v >= w.  Each probe fetches an 8-edge
+/// block, resolving three levels per DMA burst (the fixed setup cost
+/// dominates tiny reads); a final linear resolve handles the <= 8 remaining
+/// entries.  Probes are counted into `tally`, instructions into `instr`.
 [[nodiscard]] std::uint64_t gallop_lower_bound(pim::Tasklet& t,
                                                const pim::KernelCostModel& cost,
-                                               std::uint64_t sorted,
+                                               std::span<const Edge> sorted,
                                                const Region& r, NodeId w,
                                                IntersectTally& tally,
                                                std::uint64_t& instr);
 
-/// Intersects regions `a` and `b` of the sorted array at `sorted` by second
-/// endpoint, invoking `on_match(index_1, record_1, index_2, record_2)` for
-/// every common .v (indices are absolute positions in the sorted array; the
-/// two sides may arrive in either order).  Strategy per `policy`:
+/// Intersects regions `a` and `b` of the sorted array (host copy `sorted`)
+/// by second endpoint, invoking `on_match(index_1, record_1, index_2,
+/// record_2)` for every common .v (indices are absolute positions in the
+/// sorted array; the two sides may arrive in either order).  Strategy per
+/// `policy`:
 ///
-///  * merge — stream both regions through `buf_a`/`buf_b` and linearly
-///    co-advance (cost.count_merge_step per pick),
-///  * gallop — stream the smaller region through `buf_a` and binary-search
-///    each of its elements into the larger one (hub-incident edges pair a
-///    tiny region with a huge one, where a merge would walk the hub's full
-///    adjacency: small * log(large) beats small + large).
+///  * merge — stream both regions through `buffer`-edge WRAM buffers and
+///    linearly co-advance (cost.count_merge_step per pick),
+///  * gallop — stream the smaller region and binary-search each of its
+///    elements into the larger one (hub-incident edges pair a tiny region
+///    with a huge one, where a merge would walk the hub's full adjacency:
+///    small * log(large) beats small + large).
 ///
 /// The match set is identical under every policy, so counts built on top
 /// are bit-identical; only the charged work differs.
 template <typename OnMatch>
 void intersect_regions(pim::Tasklet& t, const pim::KernelCostModel& cost,
                        IntersectPolicy policy, std::uint32_t gallop_margin,
-                       std::uint64_t sorted, const Region& a, const Region& b,
-                       std::span<Edge> buf_a, std::span<Edge> buf_b,
+                       std::span<const Edge> sorted, const Region& a,
+                       const Region& b, std::uint64_t buffer,
                        IntersectTally& tally, std::uint64_t& instr,
                        OnMatch&& on_match) {
   const Region& small = a.size() <= b.size() ? a : b;
@@ -284,46 +257,49 @@ void intersect_regions(pim::Tasklet& t, const pim::KernelCostModel& cost,
   // An empty side means no work under either strategy; skip it before the
   // tally so the merge/gallop split counts only intersections that ran.
   if (small.size() == 0) return;
+  const Edge* s = sorted.data();
 
   if (choose_gallop(policy, gallop_margin, small.size(), large.size())) {
     ++tally.gallop_isects;
-    EdgeReader stream_s(t, buf_a, sorted, small.begin, small.end);
-    Edge es;
-    while (stream_s.next(es)) {
-      const NodeId w = es.v;
+    charge_stream(t, small.size(), buffer, sizeof(Edge));
+    std::uint64_t fetches = 0;  // one-record probes of the candidate match
+    for (std::uint64_t i = small.begin; i < small.end; ++i) {
+      const NodeId w = s[i].v;
       const std::uint64_t lo =
           gallop_lower_bound(t, cost, sorted, large, w, tally, instr);
       instr += cost.loop_overhead;
       if (lo >= large.end) continue;
-      const Edge m = t.mram_read_t<Edge>(sorted + lo * sizeof(Edge));
-      ++tally.gallop_probes;
-      instr += cost.binary_search_step;
-      if (m.v != w) continue;
-      on_match(stream_s.last_index(), es, lo, m);
+      ++fetches;
+      if (s[lo].v != w) continue;
+      on_match(i, s[i], lo, s[lo]);
     }
+    tally.gallop_probes += fetches;
+    instr += fetches * cost.binary_search_step;
+    t.dma(sizeof(Edge), fetches);
     return;
   }
 
+  // Linear merge.  The buffered streams stop at the first exhausted side,
+  // so each is charged only the refills up to its last fetched record.
   ++tally.merge_isects;
-  EdgeReader stream_a(t, buf_a, sorted, a.begin, a.end);
-  EdgeReader stream_b(t, buf_b, sorted, b.begin, b.end);
-  Edge ea;
-  Edge eb;
-  bool has_a = stream_a.next(ea);
-  bool has_b = stream_b.next(eb);
-  while (has_a && has_b) {
-    instr += cost.count_merge_step;
-    ++tally.merge_picks;
-    if (ea.v == eb.v) {
-      on_match(stream_a.last_index(), ea, stream_b.last_index(), eb);
-      has_a = stream_a.next(ea);
-      has_b = stream_b.next(eb);
-    } else if (ea.v < eb.v) {
-      has_a = stream_a.next(ea);
-    } else {
-      has_b = stream_b.next(eb);
-    }
+  std::uint64_t ia = a.begin;
+  std::uint64_t ib = b.begin;
+  std::uint64_t picks = 0;
+  while (ia < a.end && ib < b.end) {
+    ++picks;
+    const NodeId va = s[ia].v;
+    const NodeId vb = s[ib].v;
+    if (va == vb) on_match(ia, s[ia], ib, s[ib]);
+    // Advance the smaller side (both on a match) without a branch.
+    ia += va <= vb ? 1 : 0;
+    ib += vb <= va ? 1 : 0;
   }
+  tally.merge_picks += picks;
+  instr += picks * cost.count_merge_step;
+  charge_stream(t, stream_fetched(a.begin, a.end, ia, buffer), buffer,
+                sizeof(Edge));
+  charge_stream(t, stream_fetched(b.begin, b.end, ib, buffer), buffer,
+                sizeof(Edge));
 }
 
 }  // namespace pimtc::tc

@@ -30,6 +30,12 @@
 //   5. clear the flags; add the delta to the cumulative count.
 #pragma once
 
+#include <cstddef>
+#include <memory>
+#include <vector>
+
+#include "common/annotations.hpp"
+#include "common/mutex.hpp"
 #include "pim/config.hpp"
 #include "pim/dpu.hpp"
 #include "tc/intersect.hpp"
@@ -61,15 +67,49 @@ struct KernelParams {
 [[nodiscard]] std::uint32_t max_wram_buffer_edges(
     const pim::PimSystemConfig& config, std::uint32_t tasklets) noexcept;
 
+/// Host copies of one bank's arrays that a kernel's functional execution
+/// works on (defined in kernel.cpp).
+struct KernelScratch;
+
+/// Host memory the kernels reuse from bank to bank.  Each kernel call takes
+/// one scratch set out of the pool and puts it back when it returns, so a
+/// pool holds at most as many sets as kernels ran at once (one per launch
+/// worker), each sized for the largest bank it ran.  Everything is freed
+/// with the pool: a pool scoped to one launch keeps nothing resident after
+/// it.  Thread-safe.
+class KernelScratchPool {
+ public:
+  KernelScratchPool();
+  ~KernelScratchPool();
+  KernelScratchPool(const KernelScratchPool&) = delete;
+  KernelScratchPool& operator=(const KernelScratchPool&) = delete;
+
+  /// A free scratch set, or a new one when every set is in use.
+  [[nodiscard]] std::unique_ptr<KernelScratch> acquire() PIMTC_EXCLUDES(mu_);
+  /// Returns a set taken by acquire().
+  void release(std::unique_ptr<KernelScratch> scratch) noexcept
+      PIMTC_EXCLUDES(mu_);
+
+ private:
+  Mutex mu_;
+  std::vector<std::unique_ptr<KernelScratch>> free_ PIMTC_GUARDED_BY(mu_);
+  std::size_t created_ PIMTC_GUARDED_BY(mu_) = 0;
+};
+
 /// Executes the full kernel.  Reads DpuMeta at offset 0 and writes back
 /// `triangle_count` (total over the whole sample) plus `num_regions`; when
 /// DpuMeta::kFlagPersistSorted is set, also persists S* and `sorted_size`.
+/// Host scratch comes from `scratch`, or from a pool of its own.
+void run_count_kernel(pim::Dpu& dpu, const KernelParams& params,
+                      KernelScratchPool& scratch);
 void run_count_kernel(pim::Dpu& dpu, const KernelParams& params);
 
 /// Executes the incremental kernel over the new edges
 /// sample[sorted_size..sample_size).  Requires kFlagSortedValid (i.e. a
 /// prior full run with persistence); adds the new-triangle delta to
 /// `triangle_count` and advances `sorted_size`.
+void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params,
+                            KernelScratchPool& scratch);
 void run_incremental_kernel(pim::Dpu& dpu, const KernelParams& params);
 
 }  // namespace pimtc::tc

@@ -37,6 +37,26 @@ TEST(EdgeListTest, AppendBatch) {
   EXPECT_EQ(list.num_nodes(), 6u);
 }
 
+TEST(EdgeListTest, OneEdgeAppendsGrowGeometrically) {
+  // The dynamic update path appends tiny batches; growth must stay
+  // geometric (O(log n) reallocations), not one reallocation per append.
+  EdgeList list;
+  constexpr std::uint32_t kAppends = 100'000;
+  std::size_t reallocations = 0;
+  const Edge* data = nullptr;
+  for (std::uint32_t i = 0; i < kAppends; ++i) {
+    const Edge e{i, i + 1};
+    list.append({&e, 1});
+    if (list.edges().data() != data) {
+      ++reallocations;
+      data = list.edges().data();
+    }
+  }
+  EXPECT_EQ(list.num_edges(), kAppends);
+  EXPECT_EQ(list.num_nodes(), kAppends + 1);
+  EXPECT_LE(reallocations, 2 * ceil_log2(kAppends) + 2);
+}
+
 TEST(EdgeListTest, RescanAfterMutation) {
   EdgeList list(std::vector<Edge>{{0, 9}});
   list.mutable_edges().clear();

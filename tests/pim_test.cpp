@@ -84,18 +84,20 @@ TEST(MramTest, LazyGrowth) {
 
 TEST(WramTest, AllocatesWithinCapacity) {
   WramArena arena(1024);
-  const auto a = arena.alloc<std::uint64_t>(64);  // 512 bytes
-  EXPECT_EQ(a.size(), 64u);
-  const auto b = arena.alloc<std::uint8_t>(400);
-  EXPECT_EQ(b.size(), 400u);
-  EXPECT_THROW((void)arena.alloc<std::uint64_t>(64), PimMemoryError);
+  arena.reserve<std::uint64_t>(64);  // 512 bytes
+  EXPECT_EQ(arena.used(), 512u);
+  arena.reserve<std::uint8_t>(400);
+  EXPECT_EQ(arena.used(), 912u);
+  EXPECT_THROW(arena.reserve<std::uint64_t>(64), PimMemoryError);
+  EXPECT_EQ(arena.used(), 912u);  // a failed claim leaves the arena as is
 }
 
 TEST(WramTest, ResetReclaimsEverything) {
   WramArena arena(256);
-  (void)arena.alloc<std::uint8_t>(200);
+  arena.reserve<std::uint8_t>(200);
   arena.reset();
-  EXPECT_NO_THROW((void)arena.alloc<std::uint8_t>(200));
+  EXPECT_EQ(arena.used(), 0u);
+  EXPECT_NO_THROW(arena.reserve<std::uint8_t>(200));
   EXPECT_GE(arena.high_water(), 200u);
 }
 
@@ -104,9 +106,9 @@ TEST(WramTest, SixteenTaskletBuffersMustFit) {
   // <= 64 KB.  17 x 4 KB must fail.
   WramArena arena(64 << 10);
   for (int t = 0; t < 16; ++t) {
-    EXPECT_NO_THROW((void)arena.alloc<std::uint8_t>(4096)) << "tasklet " << t;
+    EXPECT_NO_THROW(arena.reserve<std::uint8_t>(4096)) << "tasklet " << t;
   }
-  EXPECT_THROW((void)arena.alloc<std::uint8_t>(4096), PimMemoryError);
+  EXPECT_THROW(arena.reserve<std::uint8_t>(4096), PimMemoryError);
 }
 
 // ---- DPU cost model -------------------------------------------------------------

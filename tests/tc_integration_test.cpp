@@ -3,7 +3,10 @@
 // validated against the trusted reference counter.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <cmath>
+#include <cstddef>
 #include <tuple>
 
 #include "common/math_util.hpp"
@@ -76,6 +79,31 @@ TEST(TcIntegrationTest, ExactOnSkewedGraph) {
   const TriangleCount expected = graph::reference_triangle_count(g);
   PimTriangleCounter counter(exact_config(5), small_banks());
   EXPECT_EQ(counter.count(g).rounded(), expected);
+}
+
+// The kernels' host scratch (copies of a bank's arrays, sized for the
+// largest bank a launch worker ran) lives only as long as the recount: once
+// the counter is destroyed the heap holds no more than before it was built.
+// Sanitizer builds route malloc around glibc's statistics, which then read
+// flat and the check holds trivially.
+TEST(TcIntegrationTest, NoHostScratchStaysResidentAfterTheCounter) {
+  const auto heap_in_use = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+  };
+  const auto count_once = [](const graph::EdgeList& g) {
+    PimTriangleCounter counter(exact_config(1), small_banks());
+    EXPECT_EQ(counter.count(g).rounded(), graph::reference_triangle_count(g));
+  };
+  graph::EdgeList tiny = graph::gen::erdos_renyi(50, 200, 3);
+  graph::preprocess(tiny, 3);
+  graph::EdgeList big = graph::gen::barabasi_albert(20000, 5, 3);
+  graph::preprocess(big, 3);
+  count_once(tiny);  // creates the process-wide thread pool and statics
+
+  const std::size_t before = heap_in_use();
+  count_once(big);  // one bank of ~100k edges: megabytes of scratch
+  EXPECT_LT(heap_in_use(), before + (256u << 10));
 }
 
 TEST(TcIntegrationTest, ExactWithMisraGriesRemapEnabled) {

@@ -20,6 +20,12 @@ Enforces repo-specific invariants that no general-purpose tool knows about
                    WRAM, 24 KiB IRAM) may appear only in pim/config.hpp;
                    everyone else must consume PimSystemConfig / tc::layout
                    so a future device bump happens in exactly one place.
+  exact-reserve    src/ must not call reserve(<x>.size() + ...): reserving
+                   exactly the current size plus a batch before each
+                   append defeats the vector's geometric growth, so a
+                   stream of small appends reallocates (and copies) every
+                   time — quadratic.  Append with insert()/push_back, or
+                   reserve a known final size once.
 
 Waivers: append `// pimtc-lint: allow(<rule>) -- <why>` to the offending
 line (or the line above it).  The justification text is mandatory.
@@ -35,7 +41,8 @@ import pathlib
 import re
 import sys
 
-RULES = ("determinism", "no-stdout", "named-phase", "memory-budget")
+RULES = ("determinism", "no-stdout", "named-phase", "memory-budget",
+         "exact-reserve")
 
 # Files that implement the blessed wrappers themselves.
 DETERMINISM_ALLOWED = (
@@ -62,6 +69,8 @@ MEMORY_BUDGET_RE = re.compile(
     r"|\b64\s*u?l{0,2}\s*<<\s*10\b"  # 64 KiB WRAM
     r"|\b24\s*u?l{0,2}\s*<<\s*10\b"  # 24 KiB IRAM
     r"|\b67108864\b|\b65536\b|\b24576\b")
+EXACT_RESERVE_RE = re.compile(
+    r"\breserve\s*\(\s*(?:[\w\]\[.]+(?:\.|->))?size\s*\(\s*\)\s*\+")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -135,6 +144,11 @@ def lint_file(path: pathlib.Path, rel: str) -> list[tuple[str, int, str, str]]:
             "memory-budget", MEMORY_BUDGET_RE,
             "hardcoded DPU memory budget (consume PimSystemConfig / "
             "tc::layout instead)"))
+
+    checks.append((
+        "exact-reserve", EXACT_RESERVE_RE,
+        "reserve(size() + n) before an append defeats geometric growth "
+        "(append with insert()/push_back, or reserve the final size once)"))
 
     findings = []
     for lineno, line in enumerate(code_lines, start=1):

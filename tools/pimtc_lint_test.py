@@ -95,6 +95,28 @@ class MemoryBudgetRule(unittest.TestCase):
         self.assertEqual([], lint_source("auto block = 32u << 10;\n"))
 
 
+class ExactReserveRule(unittest.TestCase):
+    def test_size_plus_batch_fires(self):
+        self.assertIn("exact-reserve", lint_source(
+            "edges_.reserve(edges_.size() + batch.size());\n"))
+        self.assertIn("exact-reserve", lint_source(
+            "out->reserve(self.items.size() + 1);\n"))
+        self.assertIn("exact-reserve", lint_source(
+            "reserve( size ( ) + extra);\n"))
+
+    def test_final_size_reserves_clean(self):
+        self.assertEqual([], lint_source("v.reserve(batch.size());\n"))
+        self.assertEqual([], lint_source("v.reserve(n * 2);\n"))
+        self.assertEqual([], lint_source("v.reserve(kFlush + 64);\n"))
+        self.assertEqual([], lint_source(
+            "v.reserve(2 * (a.size() + b.size()));\n"))
+
+    def test_justified_waiver_silences(self):
+        src = ("v.reserve(v.size() + n);  // pimtc-lint: allow(exact-reserve)"
+               " -- called once, right before a single bulk append\n")
+        self.assertEqual([], lint_source(src))
+
+
 class Waivers(unittest.TestCase):
     VIOLATION = "std::thread t([] {});\n"
 
