@@ -55,7 +55,7 @@ void CpuFastEngine::apply(std::span<const EdgeUpdate> updates) {
     ++edges_streamed_;
     if (u.edge.is_loop()) continue;
     if (!tracking_) materialize_edge_set();
-    if (live_.erase(edge_key(u.edge.canonical())) != 0) {
+    if (live_.erase(edge_key(u.edge.canonical()))) {
       ++edges_deleted_;
     } else {
       ++delete_misses_;  // never inserted (or already deleted): counted no-op
@@ -76,7 +76,8 @@ engine::CountReport CpuFastEngine::recount() {
   std::span<const Edge> edges;
   if (tracking_) {
     scratch.reserve(live_.size());
-    for (const std::uint64_t key : live_) scratch.push_back(edge_from_key(key));
+    live_.for_each(
+        [&](std::uint64_t key) { scratch.push_back(edge_from_key(key)); });
     edges = scratch;
   } else {
     edges = accumulated_.edges();

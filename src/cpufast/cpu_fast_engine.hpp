@@ -19,8 +19,8 @@
 #pragma once
 
 #include <memory>
-#include <unordered_set>
 
+#include "common/edge_key_set.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/engine.hpp"
 #include "graph/coo.hpp"
@@ -40,6 +40,11 @@ class CpuFastEngine final : public engine::TriangleCountEngine {
   }
   void reset_timers() override;
 
+  /// Slots of the canonical-key set (0 until the first deletion).
+  [[nodiscard]] std::size_t edge_set_capacity() const noexcept {
+    return live_.capacity();
+  }
+
  private:
   [[nodiscard]] ThreadPool& pool() noexcept {
     return pool_ ? *pool_ : ThreadPool::global();
@@ -51,7 +56,7 @@ class CpuFastEngine final : public engine::TriangleCountEngine {
   /// process-global pool (same policy as CpuEngine).
   std::unique_ptr<ThreadPool> pool_;
   graph::EdgeList accumulated_;  ///< raw stream; authoritative until tracking_
-  std::unordered_set<std::uint64_t> live_;  ///< canonical keys once tracking_
+  EdgeKeySet live_;        ///< canonical keys once tracking_
   bool tracking_ = false;  ///< a deletion arrived; live_ is authoritative
   bool dirty_ = true;      ///< an update arrived since the cached report
   bool has_report_ = false;

@@ -75,7 +75,7 @@ void IncrementalCpuEngine::insert_one(Edge raw) {
   ++edges_streamed_;
   if (raw.is_loop()) return;
   const Edge e = raw.canonical();
-  if (!edge_set_.insert(edge_key(e)).second) return;  // duplicate
+  if (!edge_set_.insert(edge_key(e))) return;  // duplicate
 
   if (e.v >= adj_.size()) adj_.resize(e.v + 1);
 
@@ -100,8 +100,7 @@ void IncrementalCpuEngine::delete_one(Edge raw) {
   ++edges_streamed_;
   if (raw.is_loop()) return;
   const Edge e = raw.canonical();
-  const auto it = edge_set_.find(edge_key(e));
-  if (it == edge_set_.end()) {
+  if (!edge_set_.contains(edge_key(e))) {
     ++delete_misses_;  // never inserted (or already deleted): detected no-op
     return;
   }
@@ -120,7 +119,7 @@ void IncrementalCpuEngine::delete_one(Edge raw) {
     if (edge_set_.contains(edge_key(Edge{w, other}.canonical()))) --total_;
   }
 
-  edge_set_.erase(it);
+  edge_set_.erase(edge_key(e));
   const auto unlink = [](std::vector<NodeId>& list, NodeId node) {
     for (NodeId& x : list) {
       if (x == node) {

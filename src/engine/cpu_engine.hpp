@@ -20,10 +20,10 @@
 #pragma once
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "baseline/cpu_tc.hpp"
+#include "common/edge_key_set.hpp"
 #include "engine/engine.hpp"
 #include "graph/coo.hpp"
 
@@ -73,7 +73,7 @@ class IncrementalCpuEngine final : public TriangleCountEngine {
   /// then unlinks it from the hash adjacency.  Exact inverse of insert_one.
   void delete_one(Edge raw);
 
-  std::unordered_set<std::uint64_t> edge_set_;  ///< canonical edge keys
+  EdgeKeySet edge_set_;  ///< canonical edge keys
   std::vector<std::vector<NodeId>> adj_;
   TriangleCount total_ = 0;
   std::uint64_t edges_streamed_ = 0;

@@ -2,9 +2,9 @@
 
 #include <chrono>
 #include <future>
-#include <unordered_set>
 #include <utility>
 
+#include "common/edge_key_set.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
 
@@ -63,10 +63,13 @@ IngestStats ingest_stream(
   ThreadPool& pool = options.pool != nullptr ? *options.pool
                                              : ThreadPool::global();
   IngestStats stats;
-  const bool filtering =
-      options.drop_self_loops || options.dedup != DedupMode::kNone;
+  const bool dedup = options.dedup != DedupMode::kNone;
+  const bool filtering = options.drop_self_loops || dedup;
   std::vector<Edge> scratch;      // reused filtered-chunk buffer
-  std::unordered_set<std::uint64_t> seen;  // dedup keys (canonical)
+  EdgeKeySet seen;                // dedup keys (canonical)
+  if (options.dedup == DedupMode::kGlobal) {
+    if (const auto declared = reader.declared_edges()) seen.reserve(*declared);
+  }
 
   // Producer side: reader.next() with its time charged to read_seconds.
   // Between submit() and get() only the producer touches the reader and
@@ -89,13 +92,17 @@ IngestStats ingest_stream(
       if (filtering) {
         scratch.clear();
         if (options.dedup == DedupMode::kChunk) seen.clear();
-        for (const Edge& e : chunk) {
+        for (std::size_t i = 0; i < chunk.size(); ++i) {
+          const std::size_t ahead = i + EdgeKeySet::kPrefetchDistance;
+          if (dedup && ahead < chunk.size()) {
+            seen.prefetch(edge_key(chunk[ahead].canonical()));
+          }
+          const Edge e = chunk[i];
           if (options.drop_self_loops && e.is_loop()) {
             ++stats.self_loops_dropped;
             continue;
           }
-          if (options.dedup != DedupMode::kNone &&
-              !seen.insert(edge_key(e.canonical())).second) {
+          if (dedup && !seen.insert(edge_key(e.canonical()))) {
             ++stats.duplicates_dropped;
             continue;
           }

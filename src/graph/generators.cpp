@@ -5,32 +5,21 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/edge_key_set.hpp"
 #include "common/prng.hpp"
 #include "common/types.hpp"
 
 namespace pimtc::graph::gen {
 namespace {
 
-/// Tracks distinct undirected edges during generation.
-class EdgeSet {
- public:
-  explicit EdgeSet(std::size_t expected) { set_.reserve(expected * 2); }
+[[nodiscard]] std::uint64_t undirected_key(NodeId u, NodeId v) {
+  return edge_key(Edge{u, v}.canonical());
+}
 
-  /// Inserts the canonical form; returns false for loops and duplicates.
-  bool insert(NodeId u, NodeId v) {
-    if (u == v) return false;
-    return set_.insert(Edge{u, v}.canonical()).second;
-  }
-
-  [[nodiscard]] bool contains(NodeId u, NodeId v) const {
-    return set_.contains(Edge{u, v}.canonical());
-  }
-
-  [[nodiscard]] std::size_t size() const { return set_.size(); }
-
- private:
-  std::unordered_set<Edge> set_;
-};
+/// Records the undirected edge {u, v}; false for loops and duplicates.
+bool insert_new(EdgeKeySet& seen, NodeId u, NodeId v) {
+  return u != v && seen.insert(undirected_key(u, v));
+}
 
 }  // namespace
 
@@ -50,7 +39,8 @@ EdgeList rmat(std::uint32_t scale, EdgeCount target_edges,
   const double abc = ab + params.c;
 
   Xoshiro256ss rng(seed);
-  EdgeSet seen(target_edges);
+  EdgeKeySet seen;
+  seen.reserve(target_edges);
   std::vector<Edge> edges;
   edges.reserve(target_edges);
 
@@ -66,7 +56,7 @@ EdgeList rmat(std::uint32_t scale, EdgeCount target_edges,
       u = (u << 1) | ubit;
       v = (v << 1) | vbit;
     }
-    if (seen.insert(u, v)) edges.push_back(Edge{u, v});
+    if (insert_new(seen, u, v)) edges.push_back(Edge{u, v});
   }
   return EdgeList(std::move(edges));
 }
@@ -78,13 +68,14 @@ EdgeList erdos_renyi(NodeId n, EdgeCount m, std::uint64_t seed) {
     throw std::invalid_argument("erdos_renyi: m exceeds binom(n,2)");
   }
   Xoshiro256ss rng(seed);
-  EdgeSet seen(m);
+  EdgeKeySet seen;
+  seen.reserve(m);
   std::vector<Edge> edges;
   edges.reserve(m);
   while (edges.size() < m) {
     const NodeId u = static_cast<NodeId>(rng.next_below(n));
     const NodeId v = static_cast<NodeId>(rng.next_below(n));
-    if (seen.insert(u, v)) edges.push_back(Edge{u, v});
+    if (insert_new(seen, u, v)) edges.push_back(Edge{u, v});
   }
   return EdgeList(std::move(edges));
 }
@@ -137,7 +128,8 @@ EdgeList watts_strogatz(NodeId n, std::uint32_t k, double beta,
   if (n <= k) throw std::invalid_argument("ws: need n > k");
 
   Xoshiro256ss rng(seed);
-  EdgeSet seen(static_cast<std::size_t>(n) * k / 2);
+  EdgeKeySet seen;
+  seen.reserve(static_cast<std::size_t>(n) * k / 2);
   std::vector<Edge> edges;
   edges.reserve(static_cast<std::size_t>(n) * k / 2);
 
@@ -148,13 +140,13 @@ EdgeList watts_strogatz(NodeId n, std::uint32_t k, double beta,
         // Rewire the far endpoint uniformly; retry on loop/duplicate.
         for (int attempts = 0; attempts < 32; ++attempts) {
           const NodeId cand = static_cast<NodeId>(rng.next_below(n));
-          if (cand != u && !seen.contains(u, cand)) {
+          if (cand != u && !seen.contains(undirected_key(u, cand))) {
             v = cand;
             break;
           }
         }
       }
-      if (seen.insert(u, v)) edges.push_back(Edge{u, v});
+      if (insert_new(seen, u, v)) edges.push_back(Edge{u, v});
     }
   }
   return EdgeList(std::move(edges));
@@ -167,14 +159,15 @@ EdgeList community(NodeId n, NodeId block_size, double p_in,
   }
   Xoshiro256ss rng(seed);
   std::vector<Edge> edges;
-  EdgeSet seen(static_cast<std::size_t>(n) * block_size / 4);
+  EdgeKeySet seen;
+  seen.reserve(static_cast<std::size_t>(n) * block_size / 4);
 
   // Dense intra-block pairs.
   for (NodeId base = 0; base < n; base += block_size) {
     const NodeId end = std::min<NodeId>(base + block_size, n);
     for (NodeId u = base; u < end; ++u) {
       for (NodeId v = u + 1; v < end; ++v) {
-        if (rng.next_bernoulli(p_in) && seen.insert(u, v)) {
+        if (rng.next_bernoulli(p_in) && insert_new(seen, u, v)) {
           edges.push_back(Edge{u, v});
         }
       }
@@ -187,7 +180,7 @@ EdgeList community(NodeId n, NodeId block_size, double p_in,
     const NodeId u = static_cast<NodeId>(rng.next_below(n));
     const NodeId v = static_cast<NodeId>(rng.next_below(n));
     if (u / block_size == v / block_size) continue;
-    if (seen.insert(u, v)) {
+    if (insert_new(seen, u, v)) {
       edges.push_back(Edge{u, v});
       ++placed;
     }
@@ -264,8 +257,9 @@ void close_triads(EdgeList& list, double q, std::uint32_t max_new_per_node,
     adj[e.v].push_back(e.u);
   }
 
-  EdgeSet seen(list.num_edges());
-  for (const Edge& e : list.edges()) seen.insert(e.u, e.v);
+  EdgeKeySet seen;
+  seen.reserve(list.num_edges());
+  for (const Edge& e : list.edges()) insert_new(seen, e.u, e.v);
 
   for (NodeId u = 0; u < n; ++u) {
     const auto& nb = adj[u];
@@ -279,7 +273,7 @@ void close_triads(EdgeList& list, double q, std::uint32_t max_new_per_node,
       const NodeId x = nb[rng.next_below(nb.size())];
       const NodeId y = nb[rng.next_below(nb.size())];
       if (x == y) continue;
-      if (seen.insert(x, y)) {
+      if (insert_new(seen, x, y)) {
         list.push_back(Edge{x, y});
         ++added;
       }

@@ -1,9 +1,9 @@
 #include "graph/preprocess.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 #include <vector>
 
+#include "common/edge_key_set.hpp"
 #include "common/prng.hpp"
 #include "common/types.hpp"
 
@@ -13,17 +13,23 @@ PreprocessStats remove_loops_and_duplicates(EdgeList& list) {
   PreprocessStats stats;
   stats.input_edges = list.num_edges();
 
-  std::unordered_set<Edge> seen;
-  seen.reserve(list.num_edges() * 2);
+  EdgeKeySet seen;
+  seen.reserve(list.num_edges());
 
   std::vector<Edge>& edges = list.mutable_edges();
+  const std::size_t n = edges.size();
   std::size_t write = 0;
-  for (const Edge& e : edges) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + EdgeKeySet::kPrefetchDistance < n) {
+      seen.prefetch(
+          edge_key(edges[i + EdgeKeySet::kPrefetchDistance].canonical()));
+    }
+    const Edge e = edges[i];
     if (e.is_loop()) {
       ++stats.removed_self_loops;
       continue;
     }
-    if (!seen.insert(e.canonical()).second) {
+    if (!seen.insert(edge_key(e.canonical()))) {
       ++stats.removed_duplicates;
       continue;
     }

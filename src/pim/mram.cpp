@@ -1,11 +1,28 @@
 #include "pim/mram.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
 #include <new>
 #include <string>
 
 namespace pimtc::pim {
+
+void MramBank::Unmap::operator()(std::uint8_t* base) const noexcept {
+  ::munmap(base, bytes);
+}
+
+void MramBank::map() {
+  const std::uint64_t pages = (capacity_ + kPageBytes - 1) / kPageBytes;
+  const std::size_t bytes = static_cast<std::size_t>(pages * kPageBytes);
+  void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  base_ = std::unique_ptr<std::uint8_t, Unmap>(
+      static_cast<std::uint8_t*>(base), Unmap{bytes});
+  written_.assign(static_cast<std::size_t>(pages), false);
+}
 
 void MramBank::check_range(std::uint64_t offset, std::uint64_t bytes) const {
   if (offset + bytes > capacity_) {
@@ -18,24 +35,16 @@ void MramBank::check_range(std::uint64_t offset, std::uint64_t bytes) const {
 void MramBank::write(std::uint64_t offset, const void* src, std::size_t bytes) {
   check_range(offset, bytes);
   ++write_calls_;
-  const auto* s = static_cast<const std::uint8_t*>(src);
-  std::uint64_t pos = offset;
-  std::size_t remaining = bytes;
-  while (remaining > 0) {
-    const std::uint64_t page_idx = pos / kPageBytes;
-    const std::uint64_t in_page = pos % kPageBytes;
-    const std::size_t chunk = static_cast<std::size_t>(
-        std::min<std::uint64_t>(remaining, kPageBytes - in_page));
-    auto& page = pages_[page_idx];
-    if (!page) {
-      page.reset(static_cast<Page*>(std::calloc(1, sizeof(Page))));
-      if (!page) throw std::bad_alloc();
-      ++resident_pages_;
+  if (bytes != 0) {
+    if (!base_) map();
+    for (std::uint64_t page = offset / kPageBytes;
+         page <= (offset + bytes - 1) / kPageBytes; ++page) {
+      if (!written_[page]) {
+        written_[page] = true;
+        ++resident_pages_;
+      }
     }
-    std::memcpy(page->data + in_page, s, chunk);
-    s += chunk;
-    pos += chunk;
-    remaining -= chunk;
+    std::memcpy(base_.get() + offset, src, bytes);
   }
   high_water_ = std::max(high_water_, offset + bytes);
 }
@@ -45,24 +54,11 @@ void MramBank::read(std::uint64_t offset, void* dst, std::size_t bytes) const {
     throw PimMemoryError("MRAM bank read past capacity");
   }
   ++read_calls_;
-  auto* d = static_cast<std::uint8_t*>(dst);
-  std::uint64_t pos = offset;
-  std::size_t remaining = bytes;
-  while (remaining > 0) {
-    const std::uint64_t page_idx = pos / kPageBytes;
-    const std::uint64_t in_page = pos % kPageBytes;
-    const std::size_t chunk = static_cast<std::size_t>(
-        std::min<std::uint64_t>(remaining, kPageBytes - in_page));
-    const auto& page = pages_[page_idx];
-    if (page) {
-      std::memcpy(d, page->data + in_page, chunk);
-    } else {
-      // Never-written page: deterministic zeros, no allocation side effect.
-      std::memset(d, 0, chunk);
-    }
-    d += chunk;
-    pos += chunk;
-    remaining -= chunk;
+  if (base_) {
+    // Never-written frames of the mapping read as the kernel's zero page.
+    std::memcpy(dst, base_.get() + offset, bytes);
+  } else {
+    std::memset(dst, 0, bytes);
   }
 }
 

@@ -2,19 +2,23 @@
 //
 // Functionally a flat byte array with bounds enforcement — capacity is the
 // *architectural* constraint that motivates reservoir sampling (paper
-// Section 3.3).  Storage is paged (64 KB pages allocated on first write) so
-// simulating thousands of DPUs costs memory proportional to the bytes
-// actually touched, even when data structures sit at capacity-derived
-// offsets deep inside the bank.  Reads of never-written pages return zeros
-// deterministically (like DRAM after a reset) without allocating the page.
-// Pages come from calloc, so a fresh page is zero without a second pass
-// over its 64 KB.  Access-call counters let tests and benches verify that
-// hot paths batch their traffic instead of issuing per-record operations.
+// Section 3.3).  Simulating thousands of DPUs must cost memory proportional
+// to the bytes actually touched, even when data structures sit at
+// capacity-derived offsets deep inside the bank.  So the first write maps
+// the whole bank as one anonymous, unreserved mapping: the kernel backs
+// (and zeroes) only the frames actually written, never-written bytes read
+// as zeros (like DRAM after a reset), and the destructor unmaps the bank,
+// handing every frame back to the OS.  Heap pages would not come back:
+// written from pool threads, they scatter over glibc's per-thread arenas,
+// and a process that built pim engine after pim engine kept growing its
+// peak RSS.  A bank allocates nothing until its first write; resident
+// bytes are accounted in 64 KB pages.  Access-call counters let tests and
+// benches verify that hot paths batch their traffic instead of issuing
+// per-record operations.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -29,8 +33,7 @@ class PimMemoryError : public std::runtime_error {
 class MramBank {
  public:
   explicit MramBank(std::uint64_t capacity_bytes)
-      : capacity_(capacity_bytes),
-        pages_((capacity_bytes + kPageBytes - 1) / kPageBytes) {}
+      : capacity_(capacity_bytes) {}
 
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
 
@@ -79,7 +82,8 @@ class MramBank {
   }
 
   void clear() {
-    for (auto& p : pages_) p.reset();
+    base_.reset();
+    written_.clear();
     resident_pages_ = 0;
     high_water_ = 0;
   }
@@ -88,16 +92,17 @@ class MramBank {
   // pimtc-lint: allow(memory-budget) -- backing-page granularity of this sparse store, not the WRAM budget
   static constexpr std::uint64_t kPageBytes = 64 << 10;
 
-  struct Page {
-    std::uint8_t data[kPageBytes];
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(std::uint8_t* base) const noexcept;
   };
-  struct FreePage {
-    void operator()(Page* page) const noexcept { std::free(page); }
-  };
-  using PagePtr = std::unique_ptr<Page, FreePage>;
+
+  /// Maps the bank and its page table (first write).
+  void map();
 
   std::uint64_t capacity_;
-  std::vector<PagePtr> pages_;
+  std::unique_ptr<std::uint8_t, Unmap> base_;  ///< whole bank, once written
+  std::vector<bool> written_;  ///< per page: ever written (resident)
   std::uint64_t resident_pages_ = 0;
   std::uint64_t high_water_ = 0;
   std::uint64_t write_calls_ = 0;

@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "common/math_util.hpp"
 #include "cpufast/count.hpp"
+#include "cpufast/cpu_fast_engine.hpp"
 #include "cpufast/dodg.hpp"
 #include "engine/registry.hpp"
 #include "graph/generators.hpp"
@@ -217,6 +219,34 @@ TEST(CpuFastEngineTest, DeleteThenReinsertRestoresTheCount) {
   const std::vector<EdgeUpdate> ins = {insert_of({7, 2})};  // same edge, swapped
   eng->apply(ins);
   EXPECT_EQ(eng->recount().rounded(), before);
+}
+
+TEST(CpuFastEngineTest, OneEdgeInsertsAfterADeleteGrowTheSetGeometrically) {
+  // After the first deletion the engine tracks a canonical-key set; the
+  // serving path then feeds it tiny batches.  Growth must stay geometric
+  // (O(log n) rehashes), never one rehash per batch.
+  CpuFastEngine eng{engine::EngineConfig{}};
+  eng.add_edges(graph::gen::complete(6).edges());
+  const std::vector<EdgeUpdate> del = {delete_of({0, 1})};
+  eng.apply(del);
+  ASSERT_GT(eng.edge_set_capacity(), 0u);
+
+  constexpr std::uint32_t kInserts = 100'000;
+  std::vector<std::size_t> capacities = {eng.edge_set_capacity()};
+  for (std::uint32_t i = 0; i < kInserts; ++i) {
+    const Edge e{10 + i, 11 + i};
+    eng.add_edges({&e, 1});
+    if (eng.edge_set_capacity() != capacities.back()) {
+      capacities.push_back(eng.edge_set_capacity());
+    }
+  }
+  EXPECT_LE(capacities.size(), ceil_log2(kInserts) + 2);
+  for (std::size_t i = 1; i < capacities.size(); ++i) {
+    EXPECT_GE(capacities[i], 2 * capacities[i - 1]);
+  }
+  // K6 minus one edge (16 triangles) plus a path of new edges (none).
+  EXPECT_EQ(eng.recount().rounded(), 16u);
+  EXPECT_EQ(eng.recount().edges_kept, 14u + kInserts);
 }
 
 // ---- memoization ------------------------------------------------------------

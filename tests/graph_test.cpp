@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <unordered_set>
+#include <vector>
 
 #include "common/math_util.hpp"
 #include "graph/coo.hpp"
@@ -132,6 +135,64 @@ TEST(PreprocessTest, RemovesLoopsAndDuplicates) {
   EXPECT_EQ(stats.removed_duplicates, 2u);  // (1,0) and the second (0,1)
   EXPECT_EQ(stats.output_edges, 2u);
   EXPECT_EQ(list.num_edges(), 2u);
+}
+
+/// The node-based dedup remove_loops_and_duplicates used before the flat
+/// key set, kept here only as the differential oracle.
+PreprocessStats oracle_remove_loops_and_duplicates(EdgeList& list) {
+  PreprocessStats stats;
+  stats.input_edges = list.num_edges();
+  std::unordered_set<Edge> seen;
+  std::vector<Edge>& edges = list.mutable_edges();
+  std::size_t write = 0;
+  for (const Edge& e : edges) {
+    if (e.is_loop()) {
+      ++stats.removed_self_loops;
+      continue;
+    }
+    if (!seen.insert(e.canonical()).second) {
+      ++stats.removed_duplicates;
+      continue;
+    }
+    edges[write++] = e;
+  }
+  edges.resize(write);
+  list.rescan_num_nodes();
+  stats.output_edges = write;
+  return stats;
+}
+
+TEST(PreprocessTest, MatchesTheUnorderedSetOracleByteForByte) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    // A simple graph, then dirt: exact and reversed duplicates of a third
+    // of its edges, loops, and a shuffle that mixes dirt and originals.
+    EdgeList g = seed % 2 == 0 ? gen::erdos_renyi(3000, 20'000, seed)
+                               : gen::barabasi_albert(3000, 6, seed);
+    std::vector<Edge> dirt;
+    for (std::size_t i = 0; i < g.num_edges(); i += 3) {
+      dirt.push_back(i % 2 == 0 ? g[i] : g[i].reversed());
+    }
+    for (NodeId u = 0; u < 200; u += 3) dirt.push_back({u, u});
+    g.append(dirt);
+    shuffle_edges(g, seed + 100);
+
+    EdgeList flat = g;
+    EdgeList oracle = g;
+    const PreprocessStats a = remove_loops_and_duplicates(flat);
+    const PreprocessStats b = oracle_remove_loops_and_duplicates(oracle);
+    EXPECT_EQ(a.input_edges, b.input_edges);
+    EXPECT_EQ(a.removed_self_loops, b.removed_self_loops);
+    EXPECT_EQ(a.removed_duplicates, b.removed_duplicates);
+    EXPECT_EQ(a.output_edges, b.output_edges);
+    EXPECT_GT(a.removed_duplicates, 0u);
+    EXPECT_GT(a.removed_self_loops, 0u);
+    ASSERT_EQ(flat.num_edges(), oracle.num_edges());
+    EXPECT_EQ(flat.num_nodes(), oracle.num_nodes());
+    EXPECT_EQ(std::memcmp(flat.edges().data(), oracle.edges().data(),
+                          flat.num_edges() * sizeof(Edge)),
+              0)
+        << "seed " << seed;
+  }
 }
 
 TEST(PreprocessTest, EmptyAndLoopOnlyInputs) {

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -398,6 +399,35 @@ TEST_F(IngestTest, FiltersDropLoopsAndDuplicatesOrderPreserving) {
   EXPECT_EQ(fed.size(), g.num_edges() - 4);
   // Order-preserving: the survivors are the clean prefix graph, in order.
   for (std::size_t i = 0; i < fed.size(); ++i) EXPECT_EQ(fed[i], g[i]);
+}
+
+TEST_F(IngestTest, DedupKeepsBoundaryLoopsWhenLoopsAreKept) {
+  // With loops kept, the dedup set sees the loops (0,0) and
+  // (UINT32_MAX, UINT32_MAX): key 0 and the all-ones key.  Each must be
+  // kept once, in first-occurrence order, like any other edge.
+  constexpr NodeId kMax = std::numeric_limits<NodeId>::max();
+  const std::vector<Edge> input = {{kMax, kMax}, {0, 0}, {1, kMax},
+                                   {kMax, kMax}, {kMax, 1}, {0, 0},
+                                   {2, 3}};
+  const auto path = dir_ / "boundary.txt";
+  {
+    std::ofstream out(path);
+    for (const Edge& e : input) out << e.u << ' ' << e.v << '\n';
+  }
+  engine::IngestOptions iopt;
+  iopt.reader.chunk_edges = 3;
+  iopt.drop_self_loops = false;
+  iopt.dedup = engine::DedupMode::kGlobal;
+  std::vector<Edge> fed;
+  graph::ChunkedEdgeReader reader(path, iopt.reader);
+  const engine::IngestStats stats = engine::ingest_stream(
+      reader,
+      [&](std::span<const Edge> c) { fed.insert(fed.end(), c.begin(), c.end()); },
+      iopt);
+  const std::vector<Edge> expect = {{kMax, kMax}, {0, 0}, {1, kMax}, {2, 3}};
+  EXPECT_EQ(fed, expect);
+  EXPECT_EQ(stats.duplicates_dropped, 3u);
+  EXPECT_EQ(stats.self_loops_dropped, 0u);
 }
 
 TEST_F(IngestTest, ChunkDedupOnlySeesWithinChunkDuplicates) {

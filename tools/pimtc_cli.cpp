@@ -69,6 +69,7 @@
 #include "graph/stats.hpp"
 #include "graph/reference_tc.hpp"
 #include "common/math_util.hpp"
+#include "common/timer.hpp"
 #include "serve/session_manager.hpp"
 
 namespace {
@@ -390,11 +391,23 @@ struct ParityCheck {
   }
 };
 
+/// The in-memory graph phase of `count`: read_coo, then the loop/dedup
+/// filter, then the seeded shuffle (graph::preprocess split into its timed
+/// steps).
+struct GraphPreprocess {
+  double read_s = 0.0;
+  double dedup_s = 0.0;
+  double shuffle_s = 0.0;
+  graph::PreprocessStats stats;
+};
+
 /// Report printers take the session's edge/node meta directly (streamed
-/// ingest has no in-memory EdgeList to hand them) plus the ingest pipeline
-/// stats when the out-of-core path ran.
+/// ingest has no in-memory EdgeList to hand them) plus the stats of
+/// whichever graph phase ran: the ingest pipeline (out-of-core) or the
+/// in-memory preprocess.
 void print_report_json(const engine::CountReport& r, std::uint64_t edges,
                        std::uint64_t nodes, const engine::IngestStats* ingest,
+                       const GraphPreprocess* pre,
                        const ParityCheck& parity) {
   std::printf(
       "{\"backend\":\"%s\",\"edges\":%llu,\"nodes\":%llu,"
@@ -437,6 +450,15 @@ void print_report_json(const engine::CountReport& r, std::uint64_t edges,
         static_cast<unsigned long long>(ingest->duplicates_dropped),
         ingest->read_seconds, ingest->preprocess_seconds,
         ingest->feed_seconds);
+  }
+  if (pre != nullptr) {
+    std::printf(
+        ",\"preprocess\":{\"read_s\":%.9g,\"dedup_s\":%.9g,"
+        "\"shuffle_s\":%.9g,\"self_loops_dropped\":%llu,"
+        "\"duplicates_dropped\":%llu}",
+        pre->read_s, pre->dedup_s, pre->shuffle_s,
+        static_cast<unsigned long long>(pre->stats.removed_self_loops),
+        static_cast<unsigned long long>(pre->stats.removed_duplicates));
   }
   if (r.edges_deleted > 0 || r.delete_misses > 0) {
     // Fully-dynamic stream diagnostics: deletions applied, resident-sample
@@ -549,8 +571,8 @@ void print_report_json(const engine::CountReport& r, std::uint64_t edges,
 }
 
 void print_report_text(const engine::CountReport& r, std::uint64_t edges,
-                       std::uint64_t nodes,
-                       const engine::IngestStats* ingest) {
+                       std::uint64_t nodes, const engine::IngestStats* ingest,
+                       const GraphPreprocess* pre) {
   std::printf("graph:      %llu edges / %llu nodes\n",
               static_cast<unsigned long long>(edges),
               static_cast<unsigned long long>(nodes));
@@ -566,6 +588,14 @@ void print_report_text(const engine::CountReport& r, std::uint64_t edges,
                 static_cast<unsigned long long>(ingest->duplicates_dropped),
                 ingest->read_seconds * 1e3, ingest->preprocess_seconds * 1e3,
                 ingest->feed_seconds * 1e3);
+  }
+  if (pre != nullptr) {
+    std::printf("preprocess: read %.2f ms, dedup %.2f ms, shuffle %.2f ms "
+                "(%llu loops, %llu dups dropped)\n",
+                pre->read_s * 1e3, pre->dedup_s * 1e3, pre->shuffle_s * 1e3,
+                static_cast<unsigned long long>(pre->stats.removed_self_loops),
+                static_cast<unsigned long long>(
+                    pre->stats.removed_duplicates));
   }
   std::printf("backend:    %s\n", r.backend.c_str());
   std::printf("estimate:   %.0f (%s)\n", r.estimate,
@@ -711,9 +741,18 @@ int cmd_count(const Args& args) {
   if (!stream_path.empty()) require_input_file(stream_path);
 
   graph::EdgeList g;
-  if (!path.empty() && !streamed_ingest) {
+  GraphPreprocess pre;
+  const bool in_memory = !path.empty() && !streamed_ingest;
+  if (in_memory) {
+    WallTimer timer;
     g = graph::read_coo(path);
-    graph::preprocess(g, seed);
+    pre.read_s = timer.elapsed_s();
+    timer.reset();
+    pre.stats = graph::remove_loops_and_duplicates(g);
+    pre.dedup_s = timer.elapsed_s();
+    timer.reset();
+    graph::shuffle_edges(g, seed);
+    pre.shuffle_s = timer.elapsed_s();
   }
 
   // The session's update phases: the graph (all inserts), then the replayed
@@ -773,10 +812,11 @@ int cmd_count(const Args& args) {
       streamed_ingest ? ingest_stats.node_bound : g.num_nodes();
   const engine::IngestStats* ingest_ptr =
       streamed_ingest ? &ingest_stats : nullptr;
+  const GraphPreprocess* pre_ptr = in_memory ? &pre : nullptr;
   if (args.flag("json")) {
-    print_report_json(r, meta_edges, meta_nodes, ingest_ptr, parity);
+    print_report_json(r, meta_edges, meta_nodes, ingest_ptr, pre_ptr, parity);
   } else {
-    print_report_text(r, meta_edges, meta_nodes, ingest_ptr);
+    print_report_text(r, meta_edges, meta_nodes, ingest_ptr, pre_ptr);
     if (parity.ran) {
       std::printf("parity:     %s says %llu (relative error %.4f%%)\n",
                   parity.backend.c_str(),

@@ -26,6 +26,10 @@ Enforces repo-specific invariants that no general-purpose tool knows about
                    stream of small appends reallocates (and copies) every
                    time — quadratic.  Append with insert()/push_back, or
                    reserve a known final size once.
+  one-edge-set     src/ keeps one dedup / edge-membership structure,
+                   common/edge_key_set.hpp: no std::unordered_set of Edge
+                   or of 64-bit edge keys (a heap node per edge, several
+                   times the flat set's cost and memory).
 
 Waivers: append `// pimtc-lint: allow(<rule>) -- <why>` to the offending
 line (or the line above it).  The justification text is mandatory.
@@ -42,7 +46,7 @@ import re
 import sys
 
 RULES = ("determinism", "no-stdout", "named-phase", "memory-budget",
-         "exact-reserve")
+         "exact-reserve", "one-edge-set")
 
 # Files that implement the blessed wrappers themselves.
 DETERMINISM_ALLOWED = (
@@ -71,6 +75,8 @@ MEMORY_BUDGET_RE = re.compile(
     r"|\b67108864\b|\b65536\b|\b24576\b")
 EXACT_RESERVE_RE = re.compile(
     r"\breserve\s*\(\s*(?:[\w\]\[.]+(?:\.|->))?size\s*\(\s*\)\s*\+")
+ONE_EDGE_SET_RE = re.compile(
+    r"\bunordered_set\s*<\s*(?:(?:pimtc::)?Edge|(?:std::)?uint64_t)\s*>")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -149,6 +155,10 @@ def lint_file(path: pathlib.Path, rel: str) -> list[tuple[str, int, str, str]]:
         "exact-reserve", EXACT_RESERVE_RE,
         "reserve(size() + n) before an append defeats geometric growth "
         "(append with insert()/push_back, or reserve the final size once)"))
+    checks.append((
+        "one-edge-set", ONE_EDGE_SET_RE,
+        "node-based set of edges / edge keys (use common/edge_key_set.hpp "
+        "EdgeKeySet)"))
 
     findings = []
     for lineno, line in enumerate(code_lines, start=1):

@@ -117,6 +117,32 @@ class ExactReserveRule(unittest.TestCase):
         self.assertEqual([], lint_source(src))
 
 
+class OneEdgeSetRule(unittest.TestCase):
+    def test_edge_and_key_sets_fire(self):
+        self.assertIn("one-edge-set", lint_source(
+            "std::unordered_set<Edge> seen;\n"))
+        self.assertIn("one-edge-set", lint_source(
+            "std::unordered_set<pimtc::Edge> seen;\n"))
+        self.assertIn("one-edge-set", lint_source(
+            "std::unordered_set<std::uint64_t> live_;\n"))
+        self.assertIn("one-edge-set", lint_source(
+            "unordered_set< uint64_t > keys;\n"))
+
+    def test_flat_set_and_other_sets_clean(self):
+        self.assertEqual([], lint_source("EdgeKeySet seen;\n"))
+        self.assertEqual([], lint_source(
+            "std::unordered_set<NodeId> targets;\n"))
+        self.assertEqual([], lint_source(
+            "std::unordered_set<std::uint32_t> ids;\n"))
+        self.assertEqual([], lint_source(
+            "std::unordered_map<std::uint64_t, int> counts;\n"))
+
+    def test_justified_waiver_silences(self):
+        src = ("std::unordered_set<Edge> seen;  // pimtc-lint: "
+               "allow(one-edge-set) -- differential oracle of the flat set\n")
+        self.assertEqual([], lint_source(src))
+
+
 class Waivers(unittest.TestCase):
     VIOLATION = "std::thread t([] {});\n"
 
