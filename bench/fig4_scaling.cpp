@@ -50,11 +50,11 @@ int main(int argc, char** argv) {
     double best_total = 1e300;
     double last_total = 0.0;
     for (const std::uint32_t c : colors) {
-      tc::TcConfig cfg;
+      engine::EngineConfig cfg;
       cfg.num_colors = c;
       cfg.seed = opt.seed;
       tc::PimTriangleCounter counter(cfg);
-      const tc::TcResult r = counter.count(list);
+      const engine::CountReport r = counter.count(list);
       const double total = r.times.total_s() * 1e3;
       if (baseline_total == 0.0) baseline_total = total;
       best_total = std::min(best_total, total);
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
 
       std::printf("  %7u %7llu | %9.2f %10.2f %10.2f %10.2f | %7.2fx\n", c,
                   static_cast<unsigned long long>(num_triplets(c)),
-                  r.times.setup_s * 1e3, r.times.sample_creation_s * 1e3,
+                  r.times.setup_s * 1e3, r.times.ingest_s * 1e3,
                   r.times.count_s * 1e3, total, baseline_total / total);
     }
     if (g == graph::PaperGraph::kLiveJournal &&
@@ -111,12 +111,13 @@ int main(int argc, char** argv) {
       machine.mram_bytes = 8ull << 20;
       machine.dpus_per_rank = 8;
       machine.max_dpus = budget;
-      tc::TcConfig cfg;
+      engine::EngineConfig cfg;
       cfg.num_colors = 0;  // auto: fill the budget
       cfg.placement = policy;
       cfg.seed = opt.seed;
-      tc::PimTriangleCounter counter(cfg, machine);
-      const tc::TcResult r = counter.count(hubby);
+      cfg.pim = machine;
+      tc::PimTriangleCounter counter(cfg);
+      const engine::CountReport r = counter.count(hubby);
       const double pad = r.transfers.push_padding();
       if (policy == color::PlacementPolicy::kIdentity) {
         identity_pad = pad;
@@ -131,9 +132,9 @@ int main(int argc, char** argv) {
       }
       std::printf("  %7u %3u %5u %4.0f%% %10.2f %10.2f %10.2f %6.2f %8.2fx"
                   "  %s\n",
-                  budget, r.num_colors, r.num_dpus,
+                  budget, r.num_colors, r.num_units,
                   r.dpu_utilization * 100.0,
-                  r.times.sample_creation_s * 1e3, r.times.count_s * 1e3,
+                  r.times.ingest_s * 1e3, r.times.count_s * 1e3,
                   r.times.total_s() * 1e3, pad, r.load_imbalance,
                   r.placement.c_str());
     }

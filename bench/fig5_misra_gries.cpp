@@ -39,24 +39,24 @@ int main(int argc, char** argv) {
     std::printf("\n%s (%zu edges)\n", graph::paper_graph_info(g).name.data(),
                 list.num_edges());
 
-    tc::TcConfig base;
+    engine::EngineConfig base;
     base.num_colors = opt.colors;
     base.seed = opt.seed;
 
     tc::PimTriangleCounter off(base);
-    const tc::TcResult r_off = off.count(list);
+    const engine::CountReport r_off = off.count(list);
     const double t_off = r_off.times.count_s * 1e3;
     std::printf("  %-18s %12.2f ms   (count phase, baseline)\n", "MG off",
                 t_off);
 
     double best = t_off;
     for (const Setting& s : settings) {
-      tc::TcConfig cfg = base;
+      engine::EngineConfig cfg = base;
       cfg.misra_gries_enabled = true;
       cfg.mg_capacity = s.k;
       cfg.mg_top = s.t;
       tc::PimTriangleCounter counter(cfg);
-      const tc::TcResult r = counter.count(list);
+      const engine::CountReport r = counter.count(list);
       const double ms = r.times.count_s * 1e3;
       best = std::min(best, ms);
       std::printf("  K=%-5u t=%-7u %12.2f ms   (%.2fx vs off)%s\n", s.k, s.t,

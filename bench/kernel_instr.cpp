@@ -66,19 +66,29 @@ struct Sample {
   tc::IntersectTally tally;
 };
 
+tc::IntersectTally tally_of(const engine::KernelStats& k) {
+  return {k.merge_picks, k.gallop_probes, k.merge_isects, k.gallop_isects,
+          k.chunks_claimed};
+}
+
 Sample run_static(const char* name, const graph::EdgeList& g,
                   tc::IntersectPolicy policy, bool degree_remap,
                   bool region_cache, std::uint64_t seed) {
-  tc::TcConfig cfg;
+  engine::EngineConfig cfg;
+  cfg.num_colors = 4;
   cfg.seed = seed;
   cfg.intersect = policy;
   cfg.region_cache = region_cache;
   cfg.misra_gries_enabled = degree_remap;
   cfg.degree_ordered_remap = degree_remap;
   tc::PimTriangleCounter counter(cfg);
-  const tc::TcResult r = counter.count(g);
-  return {name,          r.estimate,      r.kernel_instructions,
-          r.count_instructions, r.times.count_s, r.kernel};
+  const engine::CountReport r = counter.count(g);
+  return {name,
+          r.estimate,
+          r.kernel.instructions,
+          r.kernel.count_instructions,
+          r.times.count_s,
+          tally_of(r.kernel)};
 }
 
 void print_sample_json(const Sample& s, bool first) {
@@ -134,19 +144,20 @@ int main(int argc, char** argv) {
   Sample inc{"incremental_updates"};
   Sample inc_full{"incremental_first_count"};
   {
-    tc::TcConfig cfg;
+    engine::EngineConfig cfg;
+    cfg.num_colors = 4;
     cfg.seed = opt.seed;
     cfg.incremental = true;
     tc::PimTriangleCounter counter(cfg);
     const auto edges = g.edges();
     const std::size_t first = edges.size() * 6 / 10;
     counter.add_edges(edges.subspan(0, first));
-    tc::TcResult r = counter.recount();
+    engine::CountReport r = counter.recount();
     inc_full.estimate = r.estimate;
-    inc_full.instructions = r.kernel_instructions;
-    inc_full.count_instructions = r.count_instructions;
+    inc_full.instructions = r.kernel.instructions;
+    inc_full.count_instructions = r.kernel.count_instructions;
     inc_full.count_s = r.times.count_s;
-    inc_full.tally = r.kernel;
+    inc_full.tally = tally_of(r.kernel);
     double prev_count_s = r.times.count_s;
     std::size_t done = first;
     for (int b = 0; b < 4; ++b) {
@@ -154,10 +165,10 @@ int main(int argc, char** argv) {
           b == 3 ? edges.size() : done + edges.size() / 10;
       counter.add_edges(edges.subspan(done, hi - done));
       r = counter.recount();
-      inc.instructions += r.kernel_instructions;
-      inc.count_instructions += r.count_instructions;
+      inc.instructions += r.kernel.instructions;
+      inc.count_instructions += r.kernel.count_instructions;
       inc.count_s += r.times.count_s - prev_count_s;
-      inc.tally += r.kernel;
+      inc.tally += tally_of(r.kernel);
       prev_count_s = r.times.count_s;
       done = hi;
     }

@@ -69,13 +69,13 @@ int main(int argc, char** argv) {
       // Median over three seeds: a single draw sits 1-3 std from truth.
       std::vector<double> errs;
       for (std::uint64_t s = 0; s < 3; ++s) {
-        tc::TcConfig cfg;
+        engine::EngineConfig cfg;
         cfg.num_colors = opt.colors;
         cfg.uniform_p = p;
         cfg.seed = derive_seed(opt.seed,
                                static_cast<std::uint64_t>(p * 1000) + s);
         tc::PimTriangleCounter counter(cfg);
-        const tc::TcResult r = counter.count(list);
+        const engine::CountReport r = counter.count(list);
         errs.push_back(relative_error(r.estimate, truth));
       }
       std::sort(errs.begin(), errs.end());

@@ -1,10 +1,10 @@
 // Unified configuration for every triangle-counting backend.
 //
-// EngineConfig absorbs the former tc::TcConfig (pipeline knobs), the
-// pim::PimSystemConfig (machine model) and the baseline's threading knob so
-// that one struct configures any engine from the registry.  Backends read
-// the subset they understand: the CPU engines only look at `host_threads`
-// and `seed`; the PIM engine consumes everything.  validate() rejects
+// One struct configures any engine from the registry: the PIM pipeline
+// knobs, the pim::PimSystemConfig machine model and the CPU backends'
+// threading knobs.  Backends read the subset they understand: the CPU
+// engines only look at `host_threads`, `seed` and their own dials; the PIM
+// counter (tc::PimTriangleCounter) consumes everything.  validate() rejects
 // configurations that are nonsense for *any* backend, so a config accepted
 // once is accepted by every engine.
 #pragma once
@@ -14,7 +14,7 @@
 
 #include "coloring/partition_plan.hpp"
 #include "pim/config.hpp"
-#include "tc/config.hpp"
+#include "tc/intersect.hpp"
 
 namespace pimtc::engine {
 
@@ -128,12 +128,16 @@ struct EngineConfig {
   pim::KernelCostModel cost{};
 
   /// Throws std::invalid_argument describing the first violated invariant.
-  /// make_engine() calls this before constructing any backend.
+  /// make_engine() calls this before constructing any backend: every
+  /// validate_pipeline() rule plus the two engine-API rules C >= 2 and
+  /// pim.dpus_per_rank <= pim.max_dpus.
   void validate() const;
 
-  /// Projection onto the legacy PIM pipeline config (internal use by the
-  /// PIM engine; kept public so white-box tests can cross-check).
-  [[nodiscard]] tc::TcConfig to_tc_config() const;
+  /// The rules every backend relies on, shared by validate() and the PIM
+  /// counter's constructor (which direct construction reaches without the
+  /// registry).  Throws std::invalid_argument like validate(); returns the
+  /// resolved C (num_colors, or the auto selection when it is 0).
+  std::uint32_t validate_pipeline() const;
 };
 
 }  // namespace pimtc::engine

@@ -39,14 +39,32 @@ void TriangleCountEngine::remove_edges(std::span<const Edge> batch) {
 }
 
 void EngineConfig::validate() const {
-  // 0 = auto selection; the resolved C must still satisfy the >= 2 rule.
-  const std::uint32_t colors =
-      num_colors == 0 ? color::PartitionPlan::auto_colors(pim.max_dpus)
-                      : num_colors;
+  const std::uint32_t colors = validate_pipeline();
+  // The engine-API rules below are deliberately not pipeline rules: the PIM
+  // counter itself counts correctly with C == 1 and with a rank wider than
+  // the machine (the white-box tests construct it directly that way).
   if (colors < 2) {
     throw std::invalid_argument(
         "EngineConfig: num_colors must be >= 2 (C == 1 degenerates to one "
         "monochromatic core)");
+  }
+  if (pim.dpus_per_rank > pim.max_dpus) {
+    throw std::invalid_argument(
+        "EngineConfig: pim.dpus_per_rank (" +
+        std::to_string(pim.dpus_per_rank) + ") exceeds pim.max_dpus (" +
+        std::to_string(pim.max_dpus) + ")");
+  }
+}
+
+std::uint32_t EngineConfig::validate_pipeline() const {
+  // 0 = auto: the largest C whose binom(C+2, 3) triplets fit the machine.
+  const std::uint32_t colors =
+      num_colors == 0 ? color::PartitionPlan::auto_colors(pim.max_dpus)
+                      : num_colors;
+  if (colors == 0) {
+    throw std::invalid_argument(
+        "EngineConfig: auto color selection found no C fitting " +
+        std::to_string(pim.max_dpus) + " PIM cores");
   }
   const std::uint64_t dpus = num_triplets(colors);
   if (dpus > pim.max_dpus) {
@@ -64,6 +82,8 @@ void EngineConfig::validate() const {
   if (!(uniform_p > 0.0 && uniform_p <= 1.0)) {  // also rejects NaN
     throw std::invalid_argument("EngineConfig: uniform_p must be in (0, 1]");
   }
+  // Lower bound 4 = the kernels' minimum burst; upper bound = the budget
+  // the kernels would otherwise clamp to.  Validated, never silently moved.
   const std::uint32_t max_buffer = tc::max_wram_buffer_edges(pim, tasklets);
   if (wram_buffer_edges < 4 || wram_buffer_edges > max_buffer) {
     throw std::invalid_argument(
@@ -106,47 +126,14 @@ void EngineConfig::validate() const {
     throw std::invalid_argument(
         "EngineConfig: pim.dpus_per_rank must be >= 1");
   }
-  if (pim.dpus_per_rank > pim.max_dpus) {
-    throw std::invalid_argument(
-        "EngineConfig: pim.dpus_per_rank (" +
-        std::to_string(pim.dpus_per_rank) + ") exceeds pim.max_dpus (" +
-        std::to_string(pim.max_dpus) + ")");
-  }
-  const std::uint64_t max_cap = tc::MramLayout::max_capacity(pim.mram_bytes);
-  if (max_cap == 0) {
+  if (tc::MramLayout::max_capacity(pim.mram_bytes) == 0) {
     throw std::invalid_argument(
         "EngineConfig: MRAM bank too small to hold any sample");
   }
   // Reject malformed fault specs up front, with parse's own diagnostics
   // (std::invalid_argument naming the offending key).
   if (!fault_spec.empty()) (void)pim::FaultSpec::parse(fault_spec);
-}
-
-tc::TcConfig EngineConfig::to_tc_config() const {
-  tc::TcConfig cfg;
-  cfg.num_colors = num_colors;
-  cfg.tasklets = tasklets;
-  cfg.host_threads = host_threads;
-  cfg.sample_capacity_edges = sample_capacity_edges;
-  cfg.uniform_p = uniform_p;
-  cfg.misra_gries_enabled = misra_gries_enabled;
-  cfg.mg_capacity = mg_capacity;
-  cfg.mg_top = mg_top;
-  cfg.degree_ordered_remap = degree_ordered_remap;
-  cfg.intersect = intersect;
-  cfg.gallop_margin = gallop_margin;
-  cfg.region_cache = region_cache;
-  cfg.wram_buffer_edges = wram_buffer_edges;
-  cfg.staging_capacity_edges = staging_capacity_edges;
-  cfg.pipelined_ingest = pipelined_ingest;
-  cfg.incremental = incremental;
-  cfg.seed = seed;
-  cfg.fault_spec = fault_spec;
-  cfg.placement = placement;
-  cfg.rebalance_enabled = rebalance_enabled;
-  cfg.rebalance_min_gain = rebalance_min_gain;
-  cfg.cost = cost;
-  return cfg;
+  return colors;
 }
 
 }  // namespace pimtc::engine

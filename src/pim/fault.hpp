@@ -20,7 +20,7 @@
 // and each kernel launch bumps PimSystem's step counter; each recount bumps
 // the counter-level epoch used for MRAM bit flips), which is what makes the
 // draws reproducible.  FaultStats is the recovery ledger surfaced through
-// TcResult / CountReport; FaultCounters is the PimSystem-level subset.
+// CountReport; FaultCounters is the PimSystem-level subset.
 //
 // See DESIGN.md "Fault model & recovery".
 #pragma once
@@ -104,7 +104,7 @@ struct FaultCounters {
 };
 
 /// The recovery ledger of one counting session, surfaced through
-/// TcResult::faults and CountReport::faults (CLI text + JSON, serve stats).
+/// CountReport::faults (CLI text + JSON, serve stats).
 struct FaultStats {
   bool injected = false;   ///< a fault plan was active
   bool degraded = false;   ///< triplets were lost; the estimate is reweighted

@@ -4,12 +4,14 @@
 // allocate a DPU set, push data to each DPU's MRAM (rank-parallel batched
 // transfers), launch a kernel on every DPU, pull results back.  Each of
 // those steps returns / accumulates *simulated* seconds from the timing
-// model in PimSystemConfig, split into the paper's three phases:
+// model in PimSystemConfig, split into the paper's three phases
+// (common/phase_times.hpp):
 //
-//   Setup           — allocation + program load (+ host-side init, added by
-//                     the orchestrator),
-//   Sample creation — batched host->MRAM edge transfers + DPU-side receive,
-//   Triangle count  — kernel execution + result gather.
+//   setup_s  — allocation + program load (+ host-side init, added by the
+//              orchestrator),
+//   ingest_s — sample creation: batched host->MRAM edge transfers + DPU-side
+//              receive,
+//   count_s  — triangle count: kernel execution + result gather.
 //
 // The machine is organized as *ranks* of `dpus_per_rank` DPUs.  A bulk
 // transfer (scatter/gather) moves one byte span per DPU in a single modeled
@@ -31,6 +33,7 @@
 #include <span>
 #include <vector>
 
+#include "common/phase_times.hpp"
 #include "common/thread_pool.hpp"
 #include "pim/config.hpp"
 #include "pim/dpu.hpp"
@@ -38,30 +41,6 @@
 #include "pim/transfer_stats.hpp"
 
 namespace pimtc::pim {
-
-/// Wall-clock of one run, split as in Section 4.1 of the paper.  The three
-/// named phases hold *simulated* time (device cycles + modeled transfers);
-/// `host_s` holds *measured* host-CPU seconds (file streaming, batch
-/// building, Misra-Gries) on the local machine — kept separate so projection
-/// to other host hardware stays possible (see bench/fig7).
-struct PimPhaseTimes {
-  double setup_s = 0.0;
-  double sample_creation_s = 0.0;
-  double count_s = 0.0;
-  double host_s = 0.0;
-
-  [[nodiscard]] double total_s() const noexcept {
-    return setup_s + sample_creation_s + count_s + host_s;
-  }
-
-  PimPhaseTimes& operator+=(const PimPhaseTimes& other) noexcept {
-    setup_s += other.setup_s;
-    sample_creation_s += other.sample_creation_s;
-    count_s += other.count_s;
-    host_s += other.host_s;
-    return *this;
-  }
-};
 
 /// One DPU's slice of a bulk scatter: `bytes` copied from `src` into that
 /// DPU's MRAM at `mram_offset`.  `bytes == 0` means the DPU sits the
@@ -116,11 +95,11 @@ class PimSystem {
   /// only records TransferStats and leaves charging to the caller (the
   /// pipelined ingest path overlaps this time with host work).
   double scatter(std::span<const ScatterSpan> spans,
-                 double PimPhaseTimes::* phase);
+                 double PhaseTimes::* phase);
 
   /// MRAM->host counterpart of scatter().
   double gather(std::span<const GatherSpan> spans,
-                double PimPhaseTimes::* phase);
+                double PhaseTimes::* phase);
 
   /// Timing/accounting core of scatter()/gather() for callers that deliver
   /// the payload themselves (e.g. coalesced reservoir writes): models one
@@ -128,11 +107,11 @@ class PimSystem {
   /// per-rank slowest-DPU padding.  Returns the modeled seconds; `phase`
   /// semantics as in scatter().
   double charge_scatter(std::span<const std::uint64_t> per_dpu_bytes,
-                        double PimPhaseTimes::* phase) {
+                        double PhaseTimes::* phase) {
     return charge_bulk(per_dpu_bytes, /*push=*/true, phase);
   }
   double charge_gather(std::span<const std::uint64_t> per_dpu_bytes,
-                       double PimPhaseTimes::* phase) {
+                       double PhaseTimes::* phase) {
     return charge_bulk(per_dpu_bytes, /*push=*/false, phase);
   }
 
@@ -147,17 +126,17 @@ class PimSystem {
 
   /// Adds host-measured seconds (file reading, batch building, ...) to a
   /// phase.
-  void charge_host(double seconds, double PimPhaseTimes::* phase);
+  void charge_host(double seconds, double PhaseTimes::* phase);
 
   /// Runs `kernel(dpu)` on every DPU (host-thread parallel).  Simulated
   /// duration = launch overhead + max over ranks of (per-rank boot skew +
   /// the slowest kernel in the rank); accumulated into `phase`.
   void launch(const std::function<void(Dpu&)>& kernel,
-              double PimPhaseTimes::* phase);
+              double PhaseTimes::* phase);
 
   /// Same, but only over DPUs [0, count).
   void launch_on(std::uint32_t count, const std::function<void(Dpu&)>& kernel,
-                 double PimPhaseTimes::* phase);
+                 double PhaseTimes::* phase);
 
   // ---- fault injection ------------------------------------------------------
   /// Per-bank outcome of one launch_checked() call.  Faulted banks never ran
@@ -190,9 +169,9 @@ class PimSystem {
   /// Callers own the recovery policy (see tc::PimTriangleCounter).
   LaunchReport launch_checked(std::span<const std::uint32_t> dpu_ids,
                               const std::function<void(Dpu&)>& kernel,
-                              double PimPhaseTimes::* phase);
+                              double PhaseTimes::* phase);
 
-  [[nodiscard]] const PimPhaseTimes& times() const noexcept { return times_; }
+  [[nodiscard]] const PhaseTimes& times() const noexcept { return times_; }
   /// Zeroes the phase times *and* the transfer diagnostics (both are
   /// "accumulated since the last reset" views of the same run).
   void reset_times() noexcept {
@@ -205,21 +184,21 @@ class PimSystem {
 
  private:
   double charge_bulk(std::span<const std::uint64_t> per_dpu_bytes, bool push,
-                     double PimPhaseTimes::* phase);
+                     double PhaseTimes::* phase);
   /// Runs run(i) for i in [0, n) on the pool, handing indices out
   /// dynamically (the functional half of a launch).
   void run_kernels(std::size_t n, const std::function<void(std::size_t)>& run);
   void flip_mram_bit(std::uint32_t dpu, std::uint64_t byte_offset,
                      std::uint32_t bit);
   double corrupt_scatter(std::span<const ScatterSpan> spans,
-                         double PimPhaseTimes::* phase);
+                         double PhaseTimes::* phase);
   double corrupt_gather(std::span<const GatherSpan> spans,
-                        double PimPhaseTimes::* phase);
+                        double PhaseTimes::* phase);
 
   PimSystemConfig config_;
   std::vector<std::unique_ptr<Dpu>> dpus_;
   ThreadPool* pool_;
-  PimPhaseTimes times_;
+  PhaseTimes times_;
   TransferStats stats_;
 
   std::shared_ptr<const FaultPlan> fault_plan_;

@@ -19,75 +19,27 @@ namespace {
 constexpr std::uint64_t kStagedReplaceBytes =
     sizeof(std::uint64_t) + sizeof(Edge);
 
-/// Auto color selection: num_colors == 0 derives the largest C whose
-/// binom(C+2, 3) triplets fit the machine.
-std::uint32_t resolve_colors(const TcConfig& config,
-                             const pim::PimSystemConfig& pim_config) {
-  if (config.num_colors != 0) return config.num_colors;
-  const std::uint32_t colors =
-      color::PartitionPlan::auto_colors(pim_config.max_dpus);
-  if (colors == 0) {
-    throw std::invalid_argument(
-        "TcConfig: auto color selection found no C fitting " +
-        std::to_string(pim_config.max_dpus) + " PIM cores");
-  }
-  return colors;
+/// The config the counter runs with: pipeline rules checked and auto color
+/// selection (num_colors == 0) resolved.
+engine::EngineConfig resolved(engine::EngineConfig config) {
+  config.num_colors = config.validate_pipeline();
+  return config;
 }
 
 }  // namespace
 
-PimTriangleCounter::PimTriangleCounter(const TcConfig& config,
-                                       const pim::PimSystemConfig& pim_config)
-    : config_(config),
-      pim_config_(pim_config),
+PimTriangleCounter::PimTriangleCounter(const engine::EngineConfig& config)
+    : TriangleCountEngine(resolved(config)),
       // host_threads == 0 shares the process-global pool instead of
       // spawning a private hardware-wide pool per counter: N concurrent
       // engine sessions (src/serve/) would otherwise oversubscribe the
       // machine N-fold.  A pinned thread count still gets a dedicated pool.
-      pool_(config.host_threads == 0
+      pool_(config_.host_threads == 0
                 ? nullptr
-                : std::make_unique<ThreadPool>(config.host_threads)),
-      plan_(resolve_colors(config, pim_config), config.placement,
-            pim_config.dpus_per_rank),
-      hash_(plan_.num_colors(), derive_seed(config.seed, 0xc01u)),
-      global_mg_(std::max<std::uint32_t>(1, config.mg_capacity)) {
-  config_.num_colors = plan_.num_colors();
-  if (config_.tasklets == 0 || config_.tasklets > pim_config_.max_tasklets) {
-    throw std::invalid_argument("TcConfig: bad tasklet count");
-  }
-  if (config_.uniform_p <= 0.0 || config_.uniform_p > 1.0) {
-    throw std::invalid_argument("TcConfig: uniform_p must be in (0, 1]");
-  }
-  if (config_.misra_gries_enabled && config_.mg_top > config_.mg_capacity) {
-    throw std::invalid_argument(
-        "TcConfig: mg_top (" + std::to_string(config_.mg_top) +
-        ") exceeds mg_capacity (" + std::to_string(config_.mg_capacity) +
-        "): cannot remap more nodes than Misra-Gries tracks");
-  }
-  if (config_.degree_ordered_remap && !config_.misra_gries_enabled) {
-    throw std::invalid_argument(
-        "TcConfig: degree_ordered_remap needs misra_gries_enabled (the "
-        "ordering comes from the Misra-Gries degree estimates)");
-  }
-  if (config_.gallop_margin == 0) {
-    throw std::invalid_argument("TcConfig: gallop_margin must be >= 1");
-  }
-  // Lower bound 4 = the kernels' minimum burst; upper bound = the budget
-  // the kernels would otherwise clamp to.  Validated, never silently moved.
-  const std::uint32_t max_buffer =
-      max_wram_buffer_edges(pim_config_, config_.tasklets);
-  if (config_.wram_buffer_edges < 4 ||
-      config_.wram_buffer_edges > max_buffer) {
-    throw std::invalid_argument(
-        "TcConfig: wram_buffer_edges must be in [4, " +
-        std::to_string(max_buffer) + "] for " +
-        std::to_string(config_.tasklets) + " tasklets and " +
-        std::to_string(pim_config_.wram_bytes) + " B of WRAM, got " +
-        std::to_string(config_.wram_buffer_edges));
-  }
-  if (!(config_.rebalance_min_gain >= 1.0)) {  // also rejects NaN
-    throw std::invalid_argument("TcConfig: rebalance_min_gain must be >= 1");
-  }
+                : std::make_unique<ThreadPool>(config_.host_threads)),
+      plan_(config_.num_colors, config_.placement, config_.pim.dpus_per_rank),
+      hash_(plan_.num_colors(), derive_seed(config_.seed, 0xc01u)),
+      global_mg_(std::max<std::uint32_t>(1, config_.mg_capacity)) {
   if (!config_.fault_spec.empty()) {
     const pim::FaultSpec fspec = pim::FaultSpec::parse(config_.fault_spec);
     std::uint32_t spares = 0;
@@ -100,7 +52,7 @@ PimTriangleCounter::PimTriangleCounter(const TcConfig& config,
       // inert-plan timing-identity guarantee.
       const std::uint32_t triplets = plan_.num_triplets();
       const std::uint64_t headroom =
-          pim_config_.max_dpus > triplets ? pim_config_.max_dpus - triplets
+          config_.pim.max_dpus > triplets ? config_.pim.max_dpus - triplets
                                           : 0;
       spares = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(fspec.spare_banks, headroom));
@@ -109,22 +61,14 @@ PimTriangleCounter::PimTriangleCounter(const TcConfig& config,
     fault_plan_ = std::make_shared<const pim::FaultPlan>(fspec);
   }
   const std::uint32_t dpus = plan_.num_dpus();
-  if (dpus > pim_config_.max_dpus) {
-    throw std::invalid_argument(
-        "TcConfig: " + std::to_string(config_.num_colors) + " colors need " +
-        std::to_string(dpus) + " PIM cores but the system has " +
-        std::to_string(pim_config_.max_dpus));
-  }
-
-  const std::uint64_t max_cap = MramLayout::max_capacity(pim_config_.mram_bytes);
+  // validate_pipeline() guarantees max_cap > 0, so capacity_ > 0.
+  const std::uint64_t max_cap =
+      MramLayout::max_capacity(config_.pim.mram_bytes);
   capacity_ = config_.sample_capacity_edges == 0
                   ? max_cap
                   : std::min(config_.sample_capacity_edges, max_cap);
-  if (capacity_ == 0) {
-    throw std::invalid_argument("TcConfig: MRAM too small for any sample");
-  }
 
-  system_ = std::make_unique<pim::PimSystem>(pim_config_, dpus, pool_.get());
+  system_ = std::make_unique<pim::PimSystem>(config_.pim, dpus, pool_.get());
   if (fault_plan_ != nullptr) {
     system_->install_fault_plan(fault_plan_);
     // Always-on mirrors make any bank restorable with zero device reads;
@@ -167,11 +111,6 @@ PimTriangleCounter::PimTriangleCounter(const TcConfig& config,
   flush_bytes_.resize(dpus);
   cycles_before_.resize(dpus);
   received_.resize(triplets);
-}
-
-TcResult PimTriangleCounter::count(const graph::EdgeList& graph) {
-  add_edges(graph.edges());
-  return recount();
 }
 
 void PimTriangleCounter::add_edges(std::span<const Edge> batch) {
@@ -221,7 +160,7 @@ void PimTriangleCounter::add_edges(std::span<const Edge> batch) {
 
   insert_into_samples(host_timer.elapsed_s());
 
-  system_->charge_host(host_timer.elapsed_s(), &pim::PimPhaseTimes::host_s);
+  system_->charge_host(host_timer.elapsed_s(), &PhaseTimes::host_s);
 }
 
 void PimTriangleCounter::drain_in_flight(double host_overlap_s) {
@@ -231,8 +170,7 @@ void PimTriangleCounter::drain_in_flight(double host_overlap_s) {
           ? std::min(in_flight_device_s_, std::max(0.0, host_overlap_s))
           : 0.0;
   if (hidden > 0.0) system_->note_overlap_saved(hidden);
-  system_->charge_host(in_flight_device_s_ - hidden,
-                       &pim::PimPhaseTimes::sample_creation_s);
+  system_->charge_host(in_flight_device_s_ - hidden, &PhaseTimes::ingest_s);
   in_flight_device_s_ = 0.0;
 }
 
@@ -362,19 +300,18 @@ void PimTriangleCounter::settle_flush_round(double host_window_s) {
   // Model this round's device time: one rank-parallel scatter of the
   // per-DPU staged images, then the DPU-side receive (slowest core gates).
   const double xfer_s = system_->charge_scatter(
-      flush_bytes_, config_.pipelined_ingest
-                        ? nullptr
-                        : &pim::PimPhaseTimes::sample_creation_s);
+      flush_bytes_,
+      config_.pipelined_ingest ? nullptr : &PhaseTimes::ingest_s);
   double max_delta = 0.0;
   for (std::uint32_t d = 0; d < system_->num_dpus(); ++d) {
     max_delta =
         std::max(max_delta, system_->dpu(d).cycles() - cycles_before_[d]);
   }
-  const double receive_s = pim_config_.cycles_to_seconds(max_delta);
+  const double receive_s = config_.pim.cycles_to_seconds(max_delta);
   if (config_.pipelined_ingest) {
     in_flight_device_s_ = xfer_s + receive_s;
   } else {
-    system_->charge_host(receive_s, &pim::PimPhaseTimes::sample_creation_s);
+    system_->charge_host(receive_s, &PhaseTimes::ingest_s);
   }
 }
 
@@ -397,19 +334,12 @@ void PimTriangleCounter::materialize_mirrors() {
                                 resident[t].data(), n * sizeof(Edge)};
   }
   if (any) {
-    system_->gather(gathers, &pim::PimPhaseTimes::sample_creation_s);
+    system_->gather(gathers, &PhaseTimes::ingest_s);
   }
   for (std::uint32_t t = 0; t < num_triplets; ++t) {
     mirrors_[t].assign(std::move(resident[t]));
   }
   mirrors_valid_ = true;
-}
-
-void PimTriangleCounter::remove_edges(std::span<const Edge> batch) {
-  std::vector<EdgeUpdate> updates;
-  updates.reserve(batch.size());
-  for (const Edge e : batch) updates.push_back(delete_of(e));
-  apply(updates);
 }
 
 void PimTriangleCounter::apply(std::span<const EdgeUpdate> batch) {
@@ -486,7 +416,7 @@ void PimTriangleCounter::apply(std::span<const EdgeUpdate> batch) {
   }
   apply_updates_to_samples(host_timer.elapsed_s());
 
-  system_->charge_host(host_timer.elapsed_s(), &pim::PimPhaseTimes::host_s);
+  system_->charge_host(host_timer.elapsed_s(), &PhaseTimes::host_s);
 }
 
 void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
@@ -700,8 +630,8 @@ bool PimTriangleCounter::apply_placement(
                                  bytes};
   }
   if (any_resident) {
-    system_->gather(gathers, &pim::PimPhaseTimes::sample_creation_s);
-    system_->scatter(scatters, &pim::PimPhaseTimes::sample_creation_s);
+    system_->gather(gathers, &PhaseTimes::ingest_s);
+    system_->scatter(scatters, &PhaseTimes::ingest_s);
   }
 
   // Every bank whose occupant changed gets a fresh control block: the
@@ -720,7 +650,7 @@ bool PimTriangleCounter::apply_placement(
   return true;
 }
 
-TcResult PimTriangleCounter::recount() {
+engine::CountReport PimTriangleCounter::recount() {
   // Sync point: an in-flight batch receive must land before the kernel can
   // run, and the count depends on it — nothing left to hide it under, so
   // any remainder is charged in full.
@@ -753,9 +683,9 @@ TcResult PimTriangleCounter::recount() {
     const std::vector<std::uint32_t> proposed =
         plan_.balanced_placement(loads);
     const std::uint64_t current_wire =
-        plan_.padded_wire_bytes(bytes, pim_config_.dma_alignment_bytes);
+        plan_.padded_wire_bytes(bytes, config_.pim.dma_alignment_bytes);
     const std::uint64_t proposed_wire = plan_.padded_wire_bytes(
-        bytes, proposed, pim_config_.dma_alignment_bytes);
+        bytes, proposed, config_.pim.dma_alignment_bytes);
     if (static_cast<double>(current_wire) >
         static_cast<double>(proposed_wire) * config_.rebalance_min_gain) {
       if (apply_placement(proposed)) ++rebalances_;
@@ -831,7 +761,7 @@ TcResult PimTriangleCounter::recount() {
     meta_bytes[plan_.dpu_of(t)] =
         sizeof(DpuMeta) + remap.size() * sizeof(NodeId);
   }
-  system_->charge_scatter(meta_bytes, &pim::PimPhaseTimes::count_s);
+  system_->charge_scatter(meta_bytes, &PhaseTimes::count_s);
 
   // Launch the counting kernel on every core.
   KernelParams params;
@@ -869,7 +799,7 @@ TcResult PimTriangleCounter::recount() {
     }
   };
   if (fault_plan_ == nullptr) {
-    system_->launch(kernel, &pim::PimPhaseTimes::count_s);
+    system_->launch(kernel, &PhaseTimes::count_s);
   } else {
     run_launch_with_recovery(kernel, full_pass);
   }
@@ -891,11 +821,14 @@ TcResult PimTriangleCounter::recount() {
     const std::uint32_t d = plan_.dpu_of(t);
     gather_spans[d] = {MramLayout::kMetaOffset, &metas[d], sizeof(DpuMeta)};
   }
-  system_->gather(gather_spans, &pim::PimPhaseTimes::count_s);
+  system_->gather(gather_spans, &PhaseTimes::count_s);
 
   // ---- statistical corrections (DESIGN.md, "Correction math") -------------
-  TcResult result;
-  result.num_dpus = num_dpus;
+  engine::CountReport result;
+  result.backend = name();
+  result.simulated_times = true;
+  result.host_threads = host_threads();
+  result.num_units = num_dpus;
   result.num_ranks = system_->num_ranks();
   result.edges_streamed = edges_streamed_;
   result.edges_kept = edges_kept_;
@@ -906,17 +839,17 @@ TcResult PimTriangleCounter::recount() {
   result.num_colors = config_.num_colors;
   result.placement = color::to_string(plan_.policy());
   result.dpu_utilization = static_cast<double>(num_dpus) /
-                           static_cast<double>(pim_config_.max_dpus);
+                           static_cast<double>(config_.pim.max_dpus);
   result.rebalances = rebalances_;
-  result.kernel_instructions = instr_after - instr_before;
-  result.intersect = to_string(config_.intersect);
+  result.kernel.instructions = instr_after - instr_before;
+  result.kernel.intersect = to_string(config_.intersect);
   for (const DpuMeta& m : metas) {
     result.kernel.merge_picks += m.merge_picks;
     result.kernel.gallop_probes += m.gallop_probes;
     result.kernel.merge_isects += m.merge_isects;
     result.kernel.gallop_isects += m.gallop_isects;
     result.kernel.chunks_claimed += m.chunks_claimed;
-    result.count_instructions += m.count_instructions;
+    result.kernel.count_instructions += m.count_instructions;
   }
 
   double total_scaled = 0.0;
@@ -946,7 +879,7 @@ TcResult PimTriangleCounter::recount() {
 
     const std::uint32_t kind = plan_.table().triplet(t).kind();
     result.kind_edges_seen[kind - 1] += seen;
-    ++result.kind_dpus[kind - 1];
+    ++result.kind_units[kind - 1];
 
     // Coverage weights are *observed* per-triplet loads: the host knows
     // seen() even for a triplet whose bank is gone, so losing a hub-heavy
@@ -967,9 +900,9 @@ TcResult PimTriangleCounter::recount() {
     if (kind == 1) mono_scaled += scaled;
     if (seen > 0) max_density = std::max(max_density, scaled / w);
   }
-  result.min_dpu_edges =
+  result.min_unit_edges =
       (num_triplets == 0 || min_seen == ~0ull) ? 0 : min_seen;
-  result.max_dpu_edges = max_seen;
+  result.max_unit_edges = max_seen;
   result.load_imbalance = color::PartitionPlan::load_imbalance(loads);
 
   const double coverage =
@@ -1025,7 +958,31 @@ TcResult PimTriangleCounter::recount() {
     // by construction, the host tally because it is only ever incremented.
     result.faults = f;
   }
+
+  if (config_.misra_gries_enabled) {
+    for (const NodeId node : global_mg_.top(config_.mg_top)) {
+      result.heavy_hitters.push_back({node, global_mg_.estimate(node)});
+    }
+  }
   return result;
+}
+
+engine::EngineCapabilities PimTriangleCounter::capabilities() const {
+  engine::EngineCapabilities caps;
+  // Exact as configured: no uniform sampling and no explicit reservoir cap
+  // (a capped sample is approximate by construction once it overflows).
+  // With the bank-derived capacity a huge graph can still overflow at
+  // runtime, which downgrades the individual report's `exact` flag.
+  caps.exact = config_.uniform_p >= 1.0 && config_.sample_capacity_edges == 0;
+  caps.streaming = true;
+  caps.incremental_recount = config_.incremental;
+  // Deletions run random pairing on the resident samples; they cannot
+  // compose with the DOULION coin (the original insertion's keep decision
+  // is not reconstructible), so exact-ingest configs only.
+  caps.deletions = config_.uniform_p >= 1.0;
+  caps.simulated_time = true;
+  caps.work_profile = false;
+  return caps;
 }
 
 void PimTriangleCounter::run_launch_with_recovery(
@@ -1040,7 +997,7 @@ void PimTriangleCounter::run_launch_with_recovery(
   std::uint32_t backoff_round = 0;
   while (!pending.empty()) {
     const pim::PimSystem::LaunchReport report =
-        system_->launch_checked(pending, kernel, &pim::PimPhaseTimes::count_s);
+        system_->launch_checked(pending, kernel, &PhaseTimes::count_s);
     std::vector<std::uint32_t> next;
 
     // Permanently dead banks: migrate their triplet to a healthy spare and
@@ -1064,7 +1021,7 @@ void PimTriangleCounter::run_launch_with_recovery(
         ++backoff_round;
         const double backoff_s =
             spec.backoff_base_s * static_cast<double>(1u << (backoff_round - 1));
-        system_->charge_host(backoff_s, &pim::PimPhaseTimes::count_s);
+        system_->charge_host(backoff_s, &PhaseTimes::count_s);
         fault_tally_.recovery_s += backoff_s;
         fault_tally_.launch_retries += report.transient.size();
         next.insert(next.end(), report.transient.begin(),
@@ -1117,7 +1074,7 @@ double PimTriangleCounter::materialize_bank(std::uint32_t t,
     std::vector<pim::ScatterSpan> spans(system_->num_dpus());
     spans[bank] = {MramLayout::sample_offset(), mirror.items().data(),
                    sample_bytes};
-    seconds += system_->scatter(spans, &pim::PimPhaseTimes::count_s);
+    seconds += system_->scatter(spans, &PhaseTimes::count_s);
   }
   // Fresh control block: the kernel-owned sorted state of whatever occupied
   // this bank before is meaningless for the restored sample.
@@ -1137,7 +1094,7 @@ double PimTriangleCounter::materialize_bank(std::uint32_t t,
   }
   std::vector<std::uint64_t> meta_bytes(system_->num_dpus(), 0);
   meta_bytes[bank] = sizeof(DpuMeta) + frozen_remap_.size() * sizeof(NodeId);
-  seconds += system_->charge_scatter(meta_bytes, &pim::PimPhaseTimes::count_s);
+  seconds += system_->charge_scatter(meta_bytes, &PhaseTimes::count_s);
   return seconds;
 }
 
@@ -1170,7 +1127,7 @@ void PimTriangleCounter::inject_and_scrub_bitflips() {
     // sample), then restores from the host mirror when one exists.
     const double scrub_s =
         static_cast<double>(bytes) / (spec.checksum_gb_s * 1e9);
-    system_->charge_host(scrub_s, &pim::PimPhaseTimes::count_s);
+    system_->charge_host(scrub_s, &PhaseTimes::count_s);
     fault_tally_.detection_s += scrub_s;
     fault_tally_.checksum_bytes += bytes;
     if (mirrors_valid_) {

@@ -1,5 +1,11 @@
-// Host-side orchestration of the PIM triangle counter — the public entry
-// point of the library.
+// Host-side orchestration of the PIM triangle counter — the "pim" engine.
+//
+// PimTriangleCounter implements engine::TriangleCountEngine directly: it is
+// configured by engine::EngineConfig (the machine model under `pim`) and
+// every recount() fills engine::CountReport, Misra-Gries heavy hitters
+// included.  make_engine("pim", cfg) builds it; white-box tests and the
+// ablation benches construct it directly for its introspection (system(),
+// plan(), rebalance(), restore_bank(), ...).
 //
 // Pipeline per batch of COO edges (paper Sections 3.1-3.3):
 //   1. host threads stream their chunk of the batch: uniform sampling
@@ -52,27 +58,25 @@
 #include "coloring/partition_plan.hpp"
 #include "coloring/partitioner.hpp"
 #include "coloring/triplets.hpp"
-#include "graph/coo.hpp"
+#include "engine/engine.hpp"
 #include "pim/system.hpp"
 #include "sketch/misra_gries.hpp"
 #include "sketch/reservoir.hpp"
-#include "tc/config.hpp"
-#include "tc/result.hpp"
 
 namespace pimtc::tc {
 
-class PimTriangleCounter {
+class PimTriangleCounter final : public engine::TriangleCountEngine {
  public:
-  explicit PimTriangleCounter(const TcConfig& config,
-                              const pim::PimSystemConfig& pim_config = {});
-
-  /// One-shot static counting: stream the whole graph, then count.
-  TcResult count(const graph::EdgeList& graph);
+  /// Builds the pipeline `config` describes on the machine model
+  /// `config.pim`.  Throws std::invalid_argument on a config that breaks
+  /// EngineConfig::validate_pipeline().  config() reports the effective
+  /// config: auto color selection (num_colors == 0) is resolved.
+  explicit PimTriangleCounter(const engine::EngineConfig& config);
 
   /// Streams one batch of edges into the PIM cores (dynamic updates).
   /// Self loops are dropped; edges are expected deduplicated (see
   /// graph::preprocess).
-  void add_edges(std::span<const Edge> batch);
+  void add_edges(std::span<const Edge> batch) override;
 
   /// Streams one batch of a fully-dynamic (±) update stream.  Insertions
   /// behave exactly like add_edges (an all-insert batch takes that code
@@ -87,15 +91,15 @@ class PimTriangleCounter {
   /// oracle for it).  Throws std::invalid_argument when the batch contains
   /// deletions and uniform_p < 1 — the keep coin of the original insertion
   /// is not reconstructible, so DOULION cannot compose with deletions.
-  void apply(std::span<const EdgeUpdate> batch);
-
-  /// Convenience wrapper: apply() with every update a deletion.
-  void remove_edges(std::span<const Edge> batch);
+  void apply(std::span<const EdgeUpdate> batch) override;
 
   /// Runs the counting kernel over the resident samples and returns the
   /// corrected estimate.  Idempotent: recounting without new edges returns
   /// the same result.
-  TcResult recount();
+  engine::CountReport recount() override;
+
+  [[nodiscard]] engine::EngineCapabilities capabilities() const override;
+  [[nodiscard]] const char* name() const noexcept override { return "pim"; }
 
   /// Re-plans placement from the observed per-triplet loads (LPT: heaviest
   /// first, chunked into ranks) and migrates resident samples to their new
@@ -132,7 +136,7 @@ class PimTriangleCounter {
   /// Zeroes the accumulated phase times and transfer diagnostics.  An
   /// in-flight pipelined flush belongs to the pre-reset window, so it is
   /// settled first and cannot leak into the next measurement window.
-  void reset_timers() {
+  void reset_timers() override {
     drain_in_flight(0.0);
     system_->reset_times();
   }
@@ -148,9 +152,6 @@ class PimTriangleCounter {
   [[nodiscard]] const color::TripletTable& triplets() const noexcept {
     return plan_.table();
   }
-  /// The effective config: auto color selection (num_colors == 0) is
-  /// resolved here.
-  [[nodiscard]] const TcConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::uint64_t sample_capacity() const noexcept {
     return capacity_;
   }
@@ -241,8 +242,6 @@ class PimTriangleCounter {
     return pool_ ? *pool_ : ThreadPool::global();
   }
 
-  TcConfig config_;
-  pim::PimSystemConfig pim_config_;
   std::unique_ptr<ThreadPool> pool_;
   color::PartitionPlan plan_;
   ColorHash hash_;

@@ -18,12 +18,6 @@
 namespace pimtc {
 namespace {
 
-pim::PimSystemConfig small_banks() {
-  pim::PimSystemConfig cfg;
-  cfg.mram_bytes = 8ull << 20;
-  return cfg;
-}
-
 engine::EngineConfig small_engine(std::uint32_t colors = 3) {
   engine::EngineConfig cfg;
   cfg.num_colors = colors;
@@ -152,12 +146,11 @@ TEST(PimDynamicTest, MixedStreamIsExactAndMatchesOracle) {
   const std::size_t cut = (edges.size() * 4) / 5;
   const auto deleted = edges.subspan(cut);
 
-  tc::TcConfig cfg;
-  cfg.num_colors = 3;
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  engine::EngineConfig cfg = small_engine(3);
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(edges);
   counter.remove_edges(deleted);
-  const tc::TcResult r = counter.recount();
+  const engine::CountReport r = counter.recount();
 
   const graph::EdgeList rest = remaining_graph(g, deleted);
   EXPECT_TRUE(r.exact);
@@ -174,21 +167,20 @@ TEST(PimDynamicTest, MixedStreamIsExactAndMatchesOracle) {
 
 TEST(PimDynamicTest, DeleteEverythingCountsZeroAndRecovers) {
   graph::EdgeList g = graph::gen::complete(16);
-  tc::TcConfig cfg;
-  cfg.num_colors = 2;
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  engine::EngineConfig cfg = small_engine(2);
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(g.edges());
   EXPECT_EQ(counter.recount().rounded(), binomial(16, 3));
 
   counter.remove_edges(g.edges());
-  const tc::TcResult empty = counter.recount();
+  const engine::CountReport empty = counter.recount();
   EXPECT_EQ(empty.rounded(), 0u);
   EXPECT_TRUE(empty.exact);
 
   // The session keeps working after total deletion (delete-then-reinsert
   // round-trip at pipeline scale).
   counter.add_edges(g.edges());
-  const tc::TcResult again = counter.recount();
+  const engine::CountReport again = counter.recount();
   EXPECT_EQ(again.rounded(), binomial(16, 3));
   EXPECT_TRUE(again.exact);
 }
@@ -198,13 +190,12 @@ TEST(PimDynamicTest, NeverInsertedDeleteIsANoOpInTheExactRegime) {
   // misses the sample on both orientations is provably bogus: it must be
   // dropped as a counted no-op, never registered as random-pairing debt
   // (which would silently discard the next live insertion).
-  tc::TcConfig cfg;
-  cfg.num_colors = 2;
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  engine::EngineConfig cfg = small_engine(2);
+  tc::PimTriangleCounter counter(cfg);
   counter.remove_edges(std::vector<Edge>{{7, 8}});  // empty session delete
   const std::vector<Edge> tri{{1, 2}, {2, 3}, {1, 3}};
   counter.add_edges(tri);
-  const tc::TcResult r = counter.recount();
+  const engine::CountReport r = counter.recount();
   EXPECT_EQ(r.rounded(), 1u);
   EXPECT_TRUE(r.exact);
   EXPECT_GT(r.delete_misses, 0u);
@@ -212,13 +203,13 @@ TEST(PimDynamicTest, NeverInsertedDeleteIsANoOpInTheExactRegime) {
 
   // Same through a populated session: the estimate must not move.
   graph::EdgeList g = graph::gen::complete(10);
-  tc::PimTriangleCounter full(cfg, small_banks());
+  tc::PimTriangleCounter full(cfg);
   full.add_edges(g.edges());
   const TriangleCount before = full.recount().rounded();
   full.remove_edges(std::vector<Edge>{{500, 600}});
   full.remove_edges(std::vector<Edge>{{0, 1}});  // real delete for contrast
   full.remove_edges(std::vector<Edge>{{0, 1}});  // double delete: now absent
-  const tc::TcResult after = full.recount();
+  const engine::CountReport after = full.recount();
   EXPECT_EQ(after.rounded(), before - 8);  // K10: one edge closes 8
   EXPECT_TRUE(after.exact);
   EXPECT_GT(after.delete_misses, 0u);
@@ -226,9 +217,8 @@ TEST(PimDynamicTest, NeverInsertedDeleteIsANoOpInTheExactRegime) {
 
 TEST(PimDynamicTest, ReversedOrientationDeletesMatch) {
   graph::EdgeList g = graph::gen::complete(10);
-  tc::TcConfig cfg;
-  cfg.num_colors = 2;
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  engine::EngineConfig cfg = small_engine(2);
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(g.edges());
   // Delete with endpoints swapped relative to the stored orientation.
   std::vector<Edge> reversed;
@@ -252,15 +242,14 @@ TEST(PimDynamicTest, MixedStreamInvariantUnderPlacementPolicies) {
        {color::PlacementPolicy::kIdentity,
         color::PlacementPolicy::kKindInterleave,
         color::PlacementPolicy::kGreedyBalance}) {
-    tc::TcConfig cfg;
-    cfg.num_colors = 3;
+    engine::EngineConfig cfg = small_engine(3);
     cfg.placement = policy;
-    tc::PimTriangleCounter counter(cfg, small_banks());
+    tc::PimTriangleCounter counter(cfg);
     counter.add_edges(edges.subspan(0, cut));
     counter.remove_edges(edges.subspan(cut / 2, 100));
     counter.add_edges(edges.subspan(cut));
     counter.remove_edges(edges.subspan(0, 50));
-    const tc::TcResult r = counter.recount();
+    const engine::CountReport r = counter.recount();
     if (ref < 0.0) {
       ref = r.estimate;
       // Cross-check against the reference count of the final graph.
@@ -275,9 +264,8 @@ TEST(PimDynamicTest, MixedStreamInvariantUnderPlacementPolicies) {
   }
 
   // Arbitrary permutation mid-stream: migrate, continue the ± stream.
-  tc::TcConfig cfg;
-  cfg.num_colors = 3;
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  engine::EngineConfig cfg = small_engine(3);
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(edges.subspan(0, cut));
   counter.remove_edges(edges.subspan(cut / 2, 100));
   std::vector<std::uint32_t> perm(counter.plan().num_dpus());
@@ -304,13 +292,12 @@ TEST(PimDynamicTest, MixedStreamInvariantUnderIntersectPolicy) {
   for (const tc::IntersectPolicy policy :
        {tc::IntersectPolicy::kAuto, tc::IntersectPolicy::kMerge,
         tc::IntersectPolicy::kGallop}) {
-    tc::TcConfig cfg;
-    cfg.num_colors = 3;
+    engine::EngineConfig cfg = small_engine(3);
     cfg.intersect = policy;
-    tc::PimTriangleCounter counter(cfg, small_banks());
+    tc::PimTriangleCounter counter(cfg);
     counter.add_edges(edges);
     counter.remove_edges(edges.subspan(cut));
-    const tc::TcResult r = counter.recount();
+    const engine::CountReport r = counter.recount();
     if (ref < 0.0) {
       ref = r.estimate;
       ref_raw = r.raw_total;
@@ -329,21 +316,20 @@ TEST(PimDynamicTest, InsertOnlyApplyIsBitIdenticalToAddEdges) {
   const auto edges = g.edges();
   const std::size_t half = edges.size() / 2;
 
-  tc::TcConfig cfg;
-  cfg.num_colors = 3;
+  engine::EngineConfig cfg = small_engine(3);
   cfg.uniform_p = 0.7;
   cfg.misra_gries_enabled = true;
   cfg.sample_capacity_edges = edges.size() / 4;  // forces overflow somewhere
 
-  tc::PimTriangleCounter a(cfg, small_banks());
+  tc::PimTriangleCounter a(cfg);
   a.add_edges(edges.subspan(0, half));
   a.add_edges(edges.subspan(half));
-  const tc::TcResult ra = a.recount();
+  const engine::CountReport ra = a.recount();
 
-  tc::PimTriangleCounter b(cfg, small_banks());
+  tc::PimTriangleCounter b(cfg);
   b.apply(inserts_of(edges.subspan(0, half)));
   b.apply(inserts_of(edges.subspan(half)));
-  const tc::TcResult rb = b.recount();
+  const engine::CountReport rb = b.recount();
 
   EXPECT_EQ(ra.estimate, rb.estimate);
   EXPECT_EQ(ra.raw_total, rb.raw_total);
@@ -358,22 +344,22 @@ TEST(PimDynamicTest, IncrementalModeInvalidatesOnlyDirtyTriplets) {
   const auto edges = g.edges();
   const std::size_t cut = (edges.size() * 3) / 4;
 
-  tc::TcConfig cfg;
-  cfg.num_colors = 4;
+  engine::EngineConfig cfg = small_engine(4);
   cfg.incremental = true;
-  tc::PimTriangleCounter counter(cfg, small_banks());
+  tc::PimTriangleCounter counter(cfg);
   counter.add_edges(edges.subspan(0, cut));
-  const tc::TcResult first = counter.recount();  // full pass, persists arcs
+  // Full pass; persists the sorted arcs.
+  const engine::CountReport first = counter.recount();
   EXPECT_FALSE(first.used_incremental);
 
   // Delete a handful of edges: only the triplets that sampled them go
   // dirty; everything else keeps the incremental path.
   counter.remove_edges(edges.subspan(0, 8));
   counter.add_edges(edges.subspan(cut));
-  const tc::TcResult second = counter.recount();
+  const engine::CountReport second = counter.recount();
   EXPECT_TRUE(second.used_incremental);
   EXPECT_GT(second.dirty_full_recounts, 0u);
-  EXPECT_LT(second.dirty_full_recounts, second.num_dpus);
+  EXPECT_LT(second.dirty_full_recounts, second.num_units);
 
   const graph::EdgeList rest = remaining_graph(g, edges.subspan(0, 8));
   EXPECT_EQ(second.rounded(), graph::reference_triangle_count(rest));
@@ -381,7 +367,7 @@ TEST(PimDynamicTest, IncrementalModeInvalidatesOnlyDirtyTriplets) {
 
   // A third, deletion-free incremental recount stays fully incremental.
   counter.add_edges(edges.subspan(0, 8));
-  const tc::TcResult third = counter.recount();
+  const engine::CountReport third = counter.recount();
   EXPECT_TRUE(third.used_incremental);
   EXPECT_EQ(third.dirty_full_recounts, 0u);
   EXPECT_EQ(third.rounded(), graph::reference_triangle_count(g));
@@ -404,14 +390,13 @@ TEST(PimDynamicTest, ChurnUnderOverflowStaysNearTruth) {
   const int trials = 5;
   std::uint64_t overflows = 0;
   for (int s = 0; s < trials; ++s) {
-    tc::TcConfig cfg;
-    cfg.num_colors = 3;
+    engine::EngineConfig cfg = small_engine(3);
     cfg.seed = 9000 + s;
     cfg.sample_capacity_edges = edges.size() / 4;
-    tc::PimTriangleCounter counter(cfg, small_banks());
+    tc::PimTriangleCounter counter(cfg);
     counter.add_edges(edges);
     counter.remove_edges(edges.subspan(cut));
-    const tc::TcResult r = counter.recount();
+    const engine::CountReport r = counter.recount();
     EXPECT_FALSE(r.exact);
     overflows += r.reservoir_overflows;
     sum += r.estimate;

@@ -47,7 +47,7 @@ TEST(RegistryTest, BuiltinsAreRegistered) {
 
 TEST(RegistryTest, UnknownBackendThrowsWithKnownNames) {
   try {
-    make_engine("gpu", small_config());
+    (void)make_engine("gpu", small_config());
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -129,7 +129,7 @@ TEST(ConfigValidationTest, RejectsWramBufferBeyondScratchpadBudget) {
   EngineConfig cfg = small_config();
   cfg.wram_buffer_edges = 1 << 20;
   try {
-    make_engine("pim", cfg);
+    (void)make_engine("pim", cfg);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("wram_buffer_edges"),

@@ -11,7 +11,7 @@
 //
 // Every scenario runs with pipelined_ingest = false: with pipelining on,
 // the modeled ingest phase hides device time under *measured* host time, so
-// sample_creation_s would vary from run to run.
+// ingest_s would vary from run to run.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -32,7 +32,7 @@ struct Snapshot {
   double estimate;
   std::uint64_t raw_total;
   double setup_s;
-  double sample_creation_s;
+  double ingest_s;
   double count_s;
   std::uint64_t kernel_instructions;
   std::uint64_t count_instructions;
@@ -51,15 +51,16 @@ struct Snapshot {
   std::uint64_t pull_wire_bytes;
 };
 
-Snapshot snapshot(const PimTriangleCounter& counter, const TcResult& r) {
+Snapshot snapshot(const PimTriangleCounter& counter,
+                  const engine::CountReport& r) {
   Snapshot s{};
   s.estimate = r.estimate;
   s.raw_total = r.raw_total;
   s.setup_s = r.times.setup_s;
-  s.sample_creation_s = r.times.sample_creation_s;
+  s.ingest_s = r.times.ingest_s;
   s.count_s = r.times.count_s;
-  s.kernel_instructions = r.kernel_instructions;
-  s.count_instructions = r.count_instructions;
+  s.kernel_instructions = r.kernel.instructions;
+  s.count_instructions = r.kernel.count_instructions;
   s.merge_isects = r.kernel.merge_isects;
   s.gallop_isects = r.kernel.gallop_isects;
   s.merge_picks = r.kernel.merge_picks;
@@ -88,7 +89,7 @@ std::string to_initializer(const Snapshot& s) {
       "{%a, %lluu, %a, %a, %a, %lluu, %lluu, %lluu, %lluu, %lluu, %lluu, "
       "%lluu, %lluu, %lluu, %lluu, %lluu, %lluu, %lluu, %lluu, %lluu}",
       s.estimate, static_cast<unsigned long long>(s.raw_total), s.setup_s,
-      s.sample_creation_s, s.count_s,
+      s.ingest_s, s.count_s,
       static_cast<unsigned long long>(s.kernel_instructions),
       static_cast<unsigned long long>(s.count_instructions),
       static_cast<unsigned long long>(s.merge_isects),
@@ -119,7 +120,7 @@ void expect_pinned(const std::vector<Snapshot>& got,
     EXPECT_EQ(bits(g.estimate), bits(w.estimate));
     EXPECT_EQ(g.raw_total, w.raw_total);
     EXPECT_EQ(bits(g.setup_s), bits(w.setup_s));
-    EXPECT_EQ(bits(g.sample_creation_s), bits(w.sample_creation_s));
+    EXPECT_EQ(bits(g.ingest_s), bits(w.ingest_s));
     EXPECT_EQ(bits(g.count_s), bits(w.count_s));
     EXPECT_EQ(g.kernel_instructions, w.kernel_instructions);
     EXPECT_EQ(g.count_instructions, w.count_instructions);
@@ -153,10 +154,11 @@ pim::PimSystemConfig small_machine() {
   return cfg;
 }
 
-TcConfig base_config(std::uint64_t seed) {
-  TcConfig cfg;
+engine::EngineConfig base_config(std::uint64_t seed) {
+  engine::EngineConfig cfg;
   cfg.seed = seed;
   cfg.pipelined_ingest = false;  // see the file comment
+  cfg.pim = small_machine();
   return cfg;
 }
 
@@ -169,15 +171,15 @@ graph::EdgeList hub_graph(std::uint64_t seed) {
   return g;
 }
 
-std::vector<Snapshot> run_static(const TcConfig& cfg,
+std::vector<Snapshot> run_static(const engine::EngineConfig& cfg,
                                  const graph::EdgeList& g) {
-  PimTriangleCounter counter(cfg, small_machine());
-  const TcResult r = counter.count(g);
+  PimTriangleCounter counter(cfg);
+  const engine::CountReport r = counter.count(g);
   return {snapshot(counter, r)};
 }
 
 TEST(ModeledCostGoldenTest, StaticExactAutoColors) {
-  TcConfig cfg = base_config(11);
+  engine::EngineConfig cfg = base_config(11);
   cfg.num_colors = 0;  // auto: fills the 64-DPU machine
   const std::vector<Snapshot> want = {
       {0x1.9c2p+11, 3717u, 0x1.a9fbe76c8b43ap-9, 0x1.4527268a83513p-9,
@@ -192,7 +194,7 @@ TEST(ModeledCostGoldenTest, OverflowMisraGriesIncrementalWithDeletions) {
   const auto edges = g.edges();
   const std::size_t n = edges.size();
 
-  TcConfig cfg = base_config(22);
+  engine::EngineConfig cfg = base_config(22);
   cfg.num_colors = 4;
   cfg.incremental = true;
   cfg.misra_gries_enabled = true;
@@ -200,7 +202,7 @@ TEST(ModeledCostGoldenTest, OverflowMisraGriesIncrementalWithDeletions) {
   // The first two batches fit every reservoir (incremental recounts with a
   // dirty full pass after the deletions); the last one overflows some.
   cfg.sample_capacity_edges = 3 * n / 10;
-  PimTriangleCounter counter(cfg, small_machine());
+  PimTriangleCounter counter(cfg);
 
   std::vector<Snapshot> got;
   counter.add_edges(edges.subspan(0, n / 4));
@@ -225,7 +227,7 @@ TEST(ModeledCostGoldenTest, OverflowMisraGriesIncrementalWithDeletions) {
 }
 
 TEST(ModeledCostGoldenTest, RegionCacheDisabled) {
-  TcConfig cfg = base_config(33);
+  engine::EngineConfig cfg = base_config(33);
   cfg.num_colors = 4;
   cfg.region_cache = false;
   const std::vector<Snapshot> want = {
@@ -243,7 +245,7 @@ TEST(ModeledCostGoldenTest, WideRegionWindows) {
   graph::preprocess(g, 607);
   std::vector<Snapshot> got;
   for (const bool cache : {true, false}) {
-    TcConfig cfg = base_config(66);
+    engine::EngineConfig cfg = base_config(66);
     cfg.num_colors = 1;
     cfg.region_cache = cache;
     got.push_back(run_static(cfg, g).front());
@@ -265,7 +267,7 @@ TEST(ModeledCostGoldenTest, ForcedMergeAndGallop) {
   std::vector<Snapshot> got;
   for (const IntersectPolicy policy :
        {IntersectPolicy::kMerge, IntersectPolicy::kGallop}) {
-    TcConfig cfg = base_config(44);
+    engine::EngineConfig cfg = base_config(44);
     cfg.num_colors = 4;
     cfg.intersect = policy;
     cfg.wram_buffer_edges = 24;  // partial refills on most regions
@@ -283,7 +285,7 @@ TEST(ModeledCostGoldenTest, ForcedMergeAndGallop) {
 }
 
 TEST(ModeledCostGoldenTest, FaultPlanWithRetry) {
-  TcConfig cfg = base_config(55);
+  engine::EngineConfig cfg = base_config(55);
   cfg.num_colors = 4;
   cfg.fault_spec =
       "seed=5,launch-transient=0.2,corrupt=0.05,checksum=on,recovery=retry";

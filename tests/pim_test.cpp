@@ -213,7 +213,7 @@ TEST(PimSystemTest, AllocationChargesSetupTime) {
   PimSystem sys(cfg, 8);
   EXPECT_EQ(sys.num_dpus(), 8u);
   EXPECT_GT(sys.times().setup_s, 0.0);
-  EXPECT_DOUBLE_EQ(sys.times().sample_creation_s, 0.0);
+  EXPECT_DOUBLE_EQ(sys.times().ingest_s, 0.0);
 }
 
 TEST(PimSystemTest, SetupGrowsWithRanks) {
@@ -240,7 +240,7 @@ TEST(PimSystemTest, LaunchTakesMaxOverDpus) {
           t.instr((dpu.id() + 1) * 62500ull);
         });
       },
-      &PimPhaseTimes::count_s);
+      &PhaseTimes::count_s);
   const double expected_kernel_cycles = 4.0 * 62500.0 * 16.0;
   EXPECT_NEAR(sys.times().count_s,
               cfg.launch_overhead_s +
@@ -275,9 +275,9 @@ TEST(PimSystemTest, PhaseChargesAccumulateIndependently) {
   const PimSystemConfig cfg = small_config();
   PimSystem sys(cfg, 2);
   sys.reset_times();
-  sys.charge_host(0.5, &PimPhaseTimes::sample_creation_s);
-  sys.charge_host(0.25, &PimPhaseTimes::count_s);
-  EXPECT_DOUBLE_EQ(sys.times().sample_creation_s, 0.5);
+  sys.charge_host(0.5, &PhaseTimes::ingest_s);
+  sys.charge_host(0.25, &PhaseTimes::count_s);
+  EXPECT_DOUBLE_EQ(sys.times().ingest_s, 0.5);
   EXPECT_DOUBLE_EQ(sys.times().count_s, 0.25);
   EXPECT_DOUBLE_EQ(sys.times().total_s(), 0.75);
 }
@@ -314,7 +314,7 @@ TEST(ScatterTest, PadsEachRankToItsSlowestDpu) {
   sys.reset_times();
   const std::vector<std::uint64_t> bytes = {100, 8, 0, 16, 0, 0, 8, 0};
   const double seconds =
-      sys.charge_scatter(bytes, &PimPhaseTimes::sample_creation_s);
+      sys.charge_scatter(bytes, &PhaseTimes::ingest_s);
 
   const TransferStats& s = sys.transfer_stats();
   EXPECT_EQ(s.push_transfers, 1u);
@@ -323,7 +323,7 @@ TEST(ScatterTest, PadsEachRankToItsSlowestDpu) {
   const double expected =
       sys.config().bulk_transfer_seconds(448, 2, /*push=*/true);
   EXPECT_DOUBLE_EQ(seconds, expected);
-  EXPECT_DOUBLE_EQ(sys.times().sample_creation_s, expected);
+  EXPECT_DOUBLE_EQ(sys.times().ingest_s, expected);
 }
 
 TEST(ScatterTest, UniformSpansMatchTheFlatModel) {
@@ -333,7 +333,7 @@ TEST(ScatterTest, UniformSpansMatchTheFlatModel) {
   sys.reset_times();
   const std::vector<std::uint64_t> bytes(8, 4096);
   const double seconds =
-      sys.charge_scatter(bytes, &PimPhaseTimes::sample_creation_s);
+      sys.charge_scatter(bytes, &PhaseTimes::ingest_s);
   EXPECT_DOUBLE_EQ(seconds,
                    sys.config().transfer_seconds(8 * 4096, 8, /*push=*/true));
   EXPECT_EQ(sys.transfer_stats().push_wire_bytes,
@@ -347,7 +347,7 @@ TEST(ScatterTest, NullPhaseRecordsStatsWithoutCharging) {
   const double seconds = sys.charge_scatter(bytes, nullptr);
   EXPECT_GT(seconds, 0.0);
   EXPECT_EQ(sys.transfer_stats().push_transfers, 1u);
-  EXPECT_DOUBLE_EQ(sys.times().sample_creation_s, 0.0);
+  EXPECT_DOUBLE_EQ(sys.times().ingest_s, 0.0);
   sys.note_overlap_saved(seconds);
   EXPECT_DOUBLE_EQ(sys.transfer_stats().overlap_saved_s, seconds);
 }
@@ -356,7 +356,7 @@ TEST(ScatterTest, EmptyTransferIsFree) {
   PimSystem sys(ranked_config(4), 4);
   sys.reset_times();
   const std::vector<std::uint64_t> bytes(4, 0);
-  EXPECT_DOUBLE_EQ(sys.charge_scatter(bytes, &PimPhaseTimes::count_s), 0.0);
+  EXPECT_DOUBLE_EQ(sys.charge_scatter(bytes, &PhaseTimes::count_s), 0.0);
   EXPECT_EQ(sys.transfer_stats().push_transfers, 0u);
   EXPECT_DOUBLE_EQ(sys.times().count_s, 0.0);
 }
@@ -376,31 +376,31 @@ TEST(ScatterTest, FunctionalScatterGatherRoundTrip) {
     payload[d] = {d + 1ull, d + 100ull};
     out[d] = {64, payload[d].data(), payload[d].size() * 8};
   }
-  sys.scatter(out, &PimPhaseTimes::sample_creation_s);
+  sys.scatter(out, &PhaseTimes::ingest_s);
 
   std::vector<std::vector<std::uint64_t>> back(4, std::vector<std::uint64_t>(2));
   std::vector<GatherSpan> in(4);
   for (std::uint32_t d = 0; d < 4; ++d) {
     in[d] = {64, back[d].data(), back[d].size() * 8};
   }
-  sys.gather(in, &PimPhaseTimes::count_s);
+  sys.gather(in, &PhaseTimes::count_s);
   for (std::uint32_t d = 0; d < 4; ++d) EXPECT_EQ(back[d], payload[d]);
 
   EXPECT_EQ(sys.transfer_stats().push_transfers, 1u);
   EXPECT_EQ(sys.transfer_stats().pull_transfers, 1u);
   EXPECT_EQ(sys.transfer_stats().pull_payload_bytes, 64u);
-  EXPECT_GT(sys.times().sample_creation_s, 0.0);
+  EXPECT_GT(sys.times().ingest_s, 0.0);
   EXPECT_GT(sys.times().count_s, 0.0);
 }
 
 TEST(ScatterTest, ResetTimesClearsTransferStats) {
   PimSystem sys(ranked_config(4), 4);
   const std::vector<std::uint64_t> bytes(4, 64);
-  sys.charge_scatter(bytes, &PimPhaseTimes::sample_creation_s);
+  sys.charge_scatter(bytes, &PhaseTimes::ingest_s);
   EXPECT_EQ(sys.transfer_stats().push_transfers, 1u);
   sys.reset_times();
   EXPECT_EQ(sys.transfer_stats().push_transfers, 0u);
-  EXPECT_DOUBLE_EQ(sys.times().sample_creation_s, 0.0);
+  EXPECT_DOUBLE_EQ(sys.times().ingest_s, 0.0);
 }
 
 TEST(PimSystemTest, MaxColorsForPaperMachine) {

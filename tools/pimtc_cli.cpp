@@ -600,7 +600,7 @@ void print_report_text(const engine::CountReport& r, std::uint64_t edges,
   std::printf("backend:    %s\n", r.backend.c_str());
   std::printf("estimate:   %.0f (%s)\n", r.estimate,
               r.exact ? "exact" : "approximate");
-  if (r.num_units > 0) {
+  if (r.max_unit_edges > 0) {  // only backends with a per-unit load
     std::printf("units:      %u, load %llu..%llu edges, %llu overflowed "
                 "reservoirs\n",
                 r.num_units,

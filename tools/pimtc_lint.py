@@ -14,7 +14,7 @@ Enforces repo-specific invariants that no general-purpose tool knows about
                    (std::cout / printf / puts); reports belong to the
                    caller.  fprintf/snprintf are fine.
   named-phase      every modeled-time charge in src/pim/ must be attributed
-                   to a named PimPhaseTimes phase — passing nullptr as the
+                   to a named PhaseTimes phase — passing nullptr as the
                    phase drops simulated time on the floor.
   memory-budget    the DPU memory budget literals (64 MiB MRAM, 64 KiB
                    WRAM, 24 KiB IRAM) may appear only in pim/config.hpp;
@@ -144,7 +144,7 @@ def lint_file(path: pathlib.Path, rel: str) -> list[tuple[str, int, str, str]]:
         checks.append((
             "named-phase", NAMED_PHASE_RE,
             "modeled-time charge with a nullptr phase (attribute it to a "
-            "named PimPhaseTimes member)"))
+            "named PhaseTimes member)"))
     if not rel.startswith(MEMORY_BUDGET_ALLOWED):
         checks.append((
             "memory-budget", MEMORY_BUDGET_RE,

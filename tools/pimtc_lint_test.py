@@ -70,7 +70,7 @@ class NamedPhaseRule(unittest.TestCase):
         self.assertIn("named-phase", lint_source(src, rel="src/pim/dpu.cpp"))
 
     def test_named_phase_clean(self):
-        src = "sys.charge_host(0.5, &PimPhaseTimes::kernel);\n"
+        src = "sys.charge_host(0.5, &PhaseTimes::ingest_s);\n"
         self.assertEqual([], lint_source(src, rel="src/pim/dpu.cpp"))
 
     def test_rule_scoped_to_pim(self):
