@@ -17,6 +17,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -282,6 +283,86 @@ TEST(ModeledCostGoldenTest, ForcedMergeAndGallop) {
        2479u, 15826032u, 336016u, 2u, 318208u, 647200u, 1u, 2080u, 2080u},
   };
   expect_pinned(got, want);
+}
+
+/// Feeds `edges` as `parts` equal add_edges batches (the last takes the
+/// remainder), recounting after each.
+std::vector<Snapshot> run_batches(PimTriangleCounter& counter,
+                                  std::span<const Edge> edges,
+                                  std::size_t parts) {
+  std::vector<Snapshot> got;
+  const std::size_t step = edges.size() / parts;
+  for (std::size_t b = 0; b < parts; ++b) {
+    const std::size_t lo = b * step;
+    const std::size_t hi = b + 1 == parts ? edges.size() : lo + step;
+    counter.add_edges(edges.subspan(lo, hi - lo));
+    got.push_back(snapshot(counter, counter.recount()));
+  }
+  return got;
+}
+
+TEST(ModeledCostGoldenTest, MultiRoundStagingOverThreeBatches) {
+  // A staging capacity far below the per-bank batch splits every flush
+  // into many rounds; the reservoir capacity is reached during the third
+  // batch, so that batch mixes append-only banks with replacing ones.
+  const graph::EdgeList g = hub_graph(707);
+  const auto edges = g.edges();
+  engine::EngineConfig cfg = base_config(77);
+  cfg.num_colors = 4;
+  cfg.staging_capacity_edges = 48;
+  cfg.sample_capacity_edges = edges.size() / 6;
+  PimTriangleCounter counter(cfg);
+  const std::vector<Snapshot> want = {
+      {0x1.78p+6, 103u, 0x1.a9fbe76c8b43ap-9, 0x1.7c58d3748097dp-10,
+       0x1.2b75e81ae21c2p-10, 3498959u, 1142521u, 3667u, 9u, 19849u, 24u,
+       831u, 2687952u, 50770u, 28u, 107456u, 206880u, 1u, 2080u, 2080u},
+      {0x1.93dbb16491b1dp+9, 750u, 0x1.a9fbe76c8b43ap-9,
+       0x1.b899392189bd7p-9, 0x1.63c8a12b7d004p-9, 6450053u, 2271975u, 9194u,
+       76u, 73045u, 220u, 1445u, 7432792u, 129066u, 56u, 230560u, 516160u,
+       2u, 4160u, 4160u},
+      {0x1.77bcccf7917fap+11, 1738u, 0x1.a9fbe76c8b43ap-9,
+       0x1.5661c8e6881c2p-8, 0x1.228979162ef7cp-8, 8292558u, 3096072u, 13216u,
+       153u, 123670u, 453u, 1802u, 13537800u, 223910u, 84u, 355920u, 802880u,
+       3u, 6240u, 6240u},
+  };
+  expect_pinned(run_batches(counter, edges, 3), want);
+}
+
+TEST(ModeledCostGoldenTest, GreedyBalancePlacement) {
+  // greedy_balance re-plans from the first non-empty batch's loads; small
+  // ranks make the placement move the padded scatter shape.
+  const graph::EdgeList g = hub_graph(808);
+  engine::EngineConfig cfg = base_config(88);
+  cfg.num_colors = 5;
+  cfg.placement = color::PlacementPolicy::kGreedyBalance;
+  cfg.pim.dpus_per_rank = 8;
+  PimTriangleCounter counter(cfg);
+  const std::vector<Snapshot> want = {
+      {0x1.83p+8, 435u, 0x1.0e5604189374cp-7, 0x1.b8ff0e5af8f3cp-13,
+       0x1.347450dfc1713p-10, 6686275u, 2246944u, 8083u, 62u, 54300u, 171u,
+       1555u, 5143984u, 94760u, 2u, 201200u, 237656u, 1u, 3640u, 3640u},
+      {0x1.8dcp+11, 3590u, 0x1.0e5604189374cp-7, 0x1.bcb43e6cd3559p-12,
+       0x1.dc2ef6bea64fcp-9, 14951440u, 5707815u, 24090u, 354u, 263580u,
+       1094u, 3102u, 16065144u, 262147u, 4u, 402440u, 480000u, 2u, 7280u,
+       7280u},
+  };
+  expect_pinned(run_batches(counter, g.edges(), 2), want);
+}
+
+TEST(ModeledCostGoldenTest, UniformSamplingOnThreeHostThreads) {
+  // The DOULION keep coin is seeded per host-thread chunk, so a p < 1
+  // estimate depends on the thread count: pinned at 3 here.
+  engine::EngineConfig cfg = base_config(99);
+  cfg.num_colors = 4;
+  cfg.uniform_p = 0.6;
+  cfg.host_threads = 3;
+  const std::vector<Snapshot> want = {
+      {0x1.9924bda12f685p+11, 830u, 0x1.a9fbe76c8b43ap-9,
+       0x1.3c43f7e3f079cp-10, 0x1.361ae8f6edac8p-9, 6937912u, 2489934u, 9983u,
+       158u, 89013u, 481u, 1510u, 5204112u, 81927u, 2u, 194048u, 383680u, 1u,
+       2080u, 2080u},
+  };
+  expect_pinned(run_static(cfg, hub_graph(909)), want);
 }
 
 TEST(ModeledCostGoldenTest, FaultPlanWithRetry) {
