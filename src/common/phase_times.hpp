@@ -26,6 +26,13 @@ struct PhaseTimes {
     return setup_s + ingest_s + count_s + host_s;
   }
 
+  /// The modeled phases alone (setup + ingest + count).  For the PIM
+  /// backend this is one clock — simulated device seconds — where total_s()
+  /// adds the measured host time to it.
+  [[nodiscard]] double modeled_s() const noexcept {
+    return setup_s + ingest_s + count_s;
+  }
+
   PhaseTimes& operator+=(const PhaseTimes& other) noexcept {
     setup_s += other.setup_s;
     ingest_s += other.ingest_s;

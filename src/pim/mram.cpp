@@ -32,21 +32,26 @@ void MramBank::check_range(std::uint64_t offset, std::uint64_t bytes) const {
   }
 }
 
-void MramBank::write(std::uint64_t offset, const void* src, std::size_t bytes) {
+std::span<std::uint8_t> MramBank::writable(std::uint64_t offset,
+                                           std::size_t bytes) {
   check_range(offset, bytes);
   ++write_calls_;
-  if (bytes != 0) {
-    if (!base_) map();
-    for (std::uint64_t page = offset / kPageBytes;
-         page <= (offset + bytes - 1) / kPageBytes; ++page) {
-      if (!written_[page]) {
-        written_[page] = true;
-        ++resident_pages_;
-      }
-    }
-    std::memcpy(base_.get() + offset, src, bytes);
-  }
   high_water_ = std::max(high_water_, offset + bytes);
+  if (bytes == 0) return {};
+  if (!base_) map();
+  for (std::uint64_t page = offset / kPageBytes;
+       page <= (offset + bytes - 1) / kPageBytes; ++page) {
+    if (!written_[page]) {
+      written_[page] = true;
+      ++resident_pages_;
+    }
+  }
+  return {base_.get() + offset, bytes};
+}
+
+void MramBank::write(std::uint64_t offset, const void* src, std::size_t bytes) {
+  const std::span<std::uint8_t> dst = writable(offset, bytes);
+  if (!dst.empty()) std::memcpy(dst.data(), src, bytes);
 }
 
 void MramBank::read(std::uint64_t offset, void* dst, std::size_t bytes) const {

@@ -15,12 +15,21 @@
 // bytes are accounted in 64 KB pages.  Access-call counters let tests and
 // benches verify that hot paths batch their traffic instead of issuing
 // per-record operations.
+//
+// writable() hands out a bounds-checked view of a range instead of copying
+// into it: the range is accounted exactly like a write() of it (pages
+// resident, one write call), and the caller fills it in place — the host
+// ingest path writes each replicated edge straight into its bank slot from
+// several threads at disjoint positions.  The bookkeeping itself is not
+// thread-safe: take every view of a bank from one thread, before the fill.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace pimtc::pim {
@@ -58,6 +67,24 @@ class MramBank {
   }
 
   void write(std::uint64_t offset, const void* src, std::size_t bytes);
+
+  /// Accounts [offset, offset + bytes) as written (bounds check, resident
+  /// pages, high-water mark, one write call) and returns it for the caller
+  /// to fill.  The view stays valid until clear() or destruction.
+  [[nodiscard]] std::span<std::uint8_t> writable(std::uint64_t offset,
+                                                 std::size_t bytes);
+
+  /// Typed writable(): `count` records of T at `offset`.
+  template <typename T>
+  [[nodiscard]] std::span<T> writable_t(std::uint64_t offset,
+                                        std::size_t count) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (offset % alignof(T) != 0) {
+      throw PimMemoryError("MRAM view misaligned for its record type");
+    }
+    const std::span<std::uint8_t> raw = writable(offset, count * sizeof(T));
+    return {reinterpret_cast<T*>(raw.data()), count};
+  }
 
   /// The bounds check of write() alone: throws PimMemoryError unless
   /// [offset, offset + bytes) lies inside the bank.  For kernel scratch

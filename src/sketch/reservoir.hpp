@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -77,6 +78,20 @@ class ReservoirPolicy {
     }
     --del_out_;
     return {ReservoirDecision::Action::kDiscard, 0};
+  }
+
+  /// Registers `n` insertions that are all appends: the state `n` offer()
+  /// calls reach when nothing is pending and they all fit, where offer()
+  /// draws no coin.  Callers that write the appended items straight into
+  /// their slots (slots stored() .. stored() + n - 1) use it instead.
+  void offer_appends(std::uint64_t n) {
+    if (pending_deletions() != 0 || stored_ + n > capacity_) {
+      throw std::logic_error(
+          "ReservoirPolicy::offer_appends: the offers would not all append");
+    }
+    seen_ += n;
+    size_ += n;
+    stored_ += n;
   }
 
   /// Registers a deletion that evicted a resident sample item.  The caller

@@ -86,45 +86,32 @@ PimTriangleCounter::PimTriangleCounter(const engine::EngineConfig& config)
     // must not depend on where the plan places a triplet.
     reservoirs_.emplace_back(capacity_, derive_seed(config_.seed, 0xd00 + t));
   }
-  for (std::uint32_t b = 0; b < dpus; ++b) {
-    // Initialize every bank's control block (spares included) so later
-    // read-modify-write cycles (which preserve kernel-owned fields like
-    // sorted_size) start from zeros.
-    DpuMeta meta;
-    meta.sample_capacity = capacity_;
-    system_->dpu(b).mram().write_t(MramLayout::kMetaOffset, meta);
-  }
 
   // Persistent ingestion state: sized once, reused by every batch.
   // Estimator-side state is per triplet; transfer-side scratch is per bank.
-  partition_.resize(pool().size());
-  for (auto& per_triplet : partition_) per_triplet.resize(triplets);
-  update_partition_.resize(pool().size());
-  for (auto& per_triplet : update_partition_) per_triplet.resize(triplets);
+  // No bank is written here: a bank maps on its first write, never-written
+  // bytes read as zeros, and recount() writes every launched bank's control
+  // block.
+  route_positions_.resize(pool().size() * triplets);
+  batch_totals_.resize(triplets);
+  batch_offsets_.resize(triplets);
+  direct_.resize(triplets);
+  route_targets_.resize(triplets);
   mirrors_.resize(triplets);
   touched_slots_.resize(triplets);
   triplet_dirty_.assign(triplets, 0);
   triplet_lost_.assign(triplets, 0);
   staging_.resize(triplets);
-  cursors_.resize(triplets);
-  batch_totals_.resize(triplets);
   flush_bytes_.resize(dpus);
   cycles_before_.resize(dpus);
-  received_.resize(triplets);
 }
 
 void PimTriangleCounter::add_edges(std::span<const Edge> batch) {
   WallTimer host_timer;
   const std::size_t num_threads = pool().size();
+  const std::uint32_t num_triplets = plan_.num_triplets();
   const std::uint64_t batch_id = batch_counter_++;
 
-  // Per-thread, per-triplet partition buffers — "each host CPU thread
-  // manages an array of edges per PIM core" (Section 3.1).  The buffers are
-  // members: clear() keeps their capacity, so steady-state batches allocate
-  // nothing.
-  for (auto& per_triplet : partition_) {
-    for (auto& v : per_triplet) v.clear();
-  }
   std::vector<sketch::MisraGries> local_mg;
   std::vector<std::uint64_t> local_kept(num_threads, 0);
   local_mg.reserve(num_threads);
@@ -132,24 +119,34 @@ void PimTriangleCounter::add_edges(std::span<const Edge> batch) {
     local_mg.emplace_back(std::max<std::uint32_t>(1, config_.mg_capacity));
   }
 
+  // Both passes walk the same chunks with the same per-chunk DOULION coins,
+  // so pass 2 visits exactly the records pass 1 counted.
   const color::EdgePartitioner partitioner(hash_, plan_.table());
+  const auto for_each_kept = [&](std::size_t t, std::size_t lo,
+                                 std::size_t hi, const auto& visit) {
+    sketch::UniformSampler sampler(
+        config_.uniform_p,
+        derive_seed(config_.seed, (batch_id << 8) ^ (0xa000 + t)));
+    for (std::size_t i = lo; i < hi; ++i) {
+      const Edge e = batch[i];
+      if (e.is_loop()) continue;
+      if (!sampler.keep(e)) continue;
+      visit(e);
+    }
+    return sampler.kept();
+  };
+
+  // Pass 1: "each host CPU thread manages an array of edges per PIM core"
+  // (Section 3.1) — here only its length.
+  std::fill(route_positions_.begin(), route_positions_.end(), 0);
   pool().parallel_chunks(
       batch.size(), [&](std::size_t t, std::size_t lo, std::size_t hi) {
-        sketch::UniformSampler sampler(
-            config_.uniform_p,
-            derive_seed(config_.seed, (batch_id << 8) ^ (0xa000 + t)));
-        auto& batches = partition_[t];
-        auto& mg = local_mg[t];
-        for (std::size_t i = lo; i < hi; ++i) {
-          const Edge e = batch[i];
-          if (e.is_loop()) continue;
-          if (!sampler.keep(e)) continue;
+        std::uint64_t* counts = route_positions_.data() + t * num_triplets;
+        sketch::MisraGries& mg = local_mg[t];
+        local_kept[t] = for_each_kept(t, lo, hi, [&](const Edge& e) {
           if (config_.misra_gries_enabled) mg.update_edge(e);
-          for (const std::uint32_t d : partitioner.targets(e)) {
-            batches[d].push_back(e);
-          }
-        }
-        local_kept[t] = sampler.kept();
+          for (const std::uint32_t d : partitioner.targets(e)) ++counts[d];
+        });
       });
 
   edges_streamed_ += batch.size();
@@ -158,9 +155,88 @@ void PimTriangleCounter::add_edges(std::span<const Edge> batch) {
     for (const auto& mg : local_mg) global_mg_.merge(mg);
   }
 
-  insert_into_samples(host_timer.elapsed_s());
+  const std::uint64_t max_per_triplet = prefix_routes();
+  if (max_per_triplet > 0) {
+    target_insert_routes();
+    // Pass 2: every record written once, at its final position.
+    pool().parallel_chunks(
+        batch.size(), [&](std::size_t t, std::size_t lo, std::size_t hi) {
+          std::uint64_t* cursor = route_positions_.data() + t * num_triplets;
+          (void)for_each_kept(t, lo, hi, [&](const Edge& e) {
+            for (const std::uint32_t d : partitioner.targets(e)) {
+              route_targets_[d][cursor[d]++] = e;
+            }
+          });
+        });
+  }
+
+  insert_into_samples(max_per_triplet, host_timer.elapsed_s());
 
   system_->charge_host(host_timer.elapsed_s(), &PhaseTimes::host_s);
+}
+
+std::uint64_t PimTriangleCounter::prefix_routes() {
+  const std::size_t num_threads = pool().size();
+  const std::uint32_t num_triplets = plan_.num_triplets();
+  std::uint64_t max_per_triplet = 0;
+  for (std::uint32_t d = 0; d < num_triplets; ++d) {
+    std::uint64_t total = 0;
+    for (std::size_t t = 0; t < num_threads; ++t) {
+      std::uint64_t& cursor = route_positions_[t * num_triplets + d];
+      const std::uint64_t count = cursor;
+      cursor = total;
+      total += count;
+    }
+    batch_totals_[d] = total;
+    max_per_triplet = std::max(max_per_triplet, total);
+  }
+  // greedy_balance defers its load-aware placement to the first batch with
+  // data: nothing is resident yet, so re-planning from the observed
+  // per-triplet loads is free (no migration traffic).
+  if (max_per_triplet > 0 &&
+      plan_.policy() == color::PlacementPolicy::kGreedyBalance &&
+      !placement_observed_) {
+    placement_observed_ = true;
+    apply_placement(plan_.balanced_placement(batch_totals_));
+  }
+  return max_per_triplet;
+}
+
+void PimTriangleCounter::target_insert_routes() {
+  const std::uint32_t num_triplets = plan_.num_triplets();
+  std::uint64_t host_records = 0;
+  for (std::uint32_t t = 0; t < num_triplets; ++t) {
+    const sketch::ReservoirPolicy& reservoir = reservoirs_[t];
+    const std::uint64_t total = batch_totals_[t];
+    // Every offer of the batch is an append exactly when nothing is
+    // pending and the batch fits; host mirrors, once valid, must see every
+    // decision, so they keep the staged route.
+    direct_[t] = total > 0 && !mirrors_valid_ &&
+                 reservoir.pending_deletions() == 0 &&
+                 reservoir.stored() + total <= capacity_;
+    batch_offsets_[t] = host_records;
+    if (!direct_[t]) host_records += total;
+  }
+  routed_edges_.resize(static_cast<std::size_t>(host_records));
+
+  pool().parallel_for(num_triplets, [&](std::size_t t) {
+    if (!direct_[t]) {
+      route_targets_[t] = routed_edges_.data() + batch_offsets_[t];
+      return;
+    }
+    // The plan is an injection, so this is the only view taken of the bank
+    // and only this thread touches its bookkeeping.
+    sketch::ReservoirPolicy& reservoir = reservoirs_[t];
+    const std::uint64_t total = batch_totals_[t];
+    route_targets_[t] =
+        system_->dpu(plan_.dpu_of(static_cast<std::uint32_t>(t)))
+            .mram()
+            .writable_t<Edge>(MramLayout::sample_offset() +
+                                  reservoir.stored() * sizeof(Edge),
+                              static_cast<std::size_t>(total))
+            .data();
+    reservoir.offer_appends(total);
+  });
 }
 
 void PimTriangleCounter::drain_in_flight(double host_overlap_s) {
@@ -174,43 +250,23 @@ void PimTriangleCounter::drain_in_flight(double host_overlap_s) {
   in_flight_device_s_ = 0.0;
 }
 
-void PimTriangleCounter::insert_into_samples(double host_window_s) {
-  const std::uint32_t num_dpus = system_->num_dpus();
-  const std::uint32_t num_triplets = plan_.num_triplets();
-  const std::uint32_t recv_tasklets = config_.tasklets;
-  const std::uint64_t sample_base = MramLayout::sample_offset();
-
-  // How many staging rounds does the slowest triplet need?
-  std::uint64_t max_per_triplet = 0;
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
-    std::uint64_t total = 0;
-    for (const auto& per_triplet : partition_) total += per_triplet[t].size();
-    batch_totals_[t] = total;
-    max_per_triplet = std::max(max_per_triplet, total);
-    cursors_[t] = {0, 0};
-  }
+void PimTriangleCounter::insert_into_samples(std::uint64_t max_per_triplet,
+                                             double host_window_s) {
   if (max_per_triplet == 0) {
     // Nothing survived sampling: no scatter, but the host work just done
     // still overlaps any in-flight receive of the previous batch.
     drain_in_flight(host_window_s);
     return;
   }
-
-  // greedy_balance defers its load-aware placement to the first batch with
-  // data: nothing is resident yet, so re-planning from the observed
-  // per-triplet loads is free (no migration traffic).
-  if (plan_.policy() == color::PlacementPolicy::kGreedyBalance &&
-      !placement_observed_) {
-    placement_observed_ = true;
-    apply_placement(plan_.balanced_placement(batch_totals_));
-  }
+  const std::uint32_t num_dpus = system_->num_dpus();
+  const std::uint32_t num_triplets = plan_.num_triplets();
+  const std::uint32_t recv_tasklets = config_.tasklets;
+  const std::uint64_t sample_base = MramLayout::sample_offset();
 
   const std::uint64_t round_cap = config_.staging_capacity_edges == 0
                                       ? max_per_triplet
                                       : config_.staging_capacity_edges;
   const std::uint64_t rounds = ceil_div(max_per_triplet, round_cap);
-
-  std::fill(received_.begin(), received_.end(), 0);
 
   for (std::uint64_t round = 0; round < rounds; ++round) {
     WallTimer stage_timer;
@@ -222,46 +278,46 @@ void PimTriangleCounter::insert_into_samples(double host_window_s) {
 
     pool().parallel_for(num_triplets, [&](std::size_t t) {
       // The plan is an injection, so each triplet touches its own bank.
-      pim::Dpu& dpu = system_->dpu(plan_.dpu_of(static_cast<std::uint32_t>(t)));
-      sketch::ReservoirPolicy& reservoir = reservoirs_[t];
-      sketch::SampleMirror<Edge>& mirror = mirrors_[t];
+      const std::uint32_t bank = plan_.dpu_of(static_cast<std::uint32_t>(t));
+      pim::Dpu& dpu = system_->dpu(bank);
       sketch::ReservoirStaging<Edge>& staging = staging_[t];
-      auto& [thread_idx, offset] = cursors_[t];
+      const std::uint64_t total = batch_totals_[t];
+      const std::uint64_t lo = std::min(round * round_cap, total);
+      const std::uint64_t hi = std::min(lo + round_cap, total);
 
-      // Stage up to round_cap reservoir decisions host-side.  Once a
-      // deletion has materialized the mirrors, they track the decisions
-      // too, so the host keeps knowing the banks' resident content;
-      // insert-only sessions skip that bookkeeping entirely.
-      staging.begin(reservoir.stored());
-      std::uint64_t budget = round_cap;
-      while (budget > 0 && thread_idx < partition_.size()) {
-        const auto& src = partition_[thread_idx][t];
-        while (offset < src.size() && budget > 0) {
+      // This round's share of the triplet's records.  A direct triplet's
+      // records already sit in their slots: it is the append run of
+      // hi - lo records.  Otherwise stage the reservoir decisions
+      // host-side; once a deletion has materialized the mirrors, they
+      // track the decisions too, so the host keeps knowing the banks'
+      // resident content (insert-only sessions skip that bookkeeping).
+      std::uint64_t append_items = hi - lo;
+      std::uint64_t replace_items = 0;
+      if (!direct_[t]) {
+        sketch::ReservoirPolicy& reservoir = reservoirs_[t];
+        sketch::SampleMirror<Edge>& mirror = mirrors_[t];
+        const Edge* records = routed_edges_.data() + batch_offsets_[t];
+        staging.begin(reservoir.stored());
+        for (std::uint64_t i = lo; i < hi; ++i) {
           const sketch::ReservoirDecision d = reservoir.offer();
-          staging.stage_decision(d, src[offset]);
-          if (mirrors_valid_) mirror.apply(d, src[offset]);
-          ++offset;
-          --budget;
-          ++received_[t];
+          staging.stage_decision(d, records[i]);
+          if (mirrors_valid_) mirror.apply(d, records[i]);
         }
-        if (offset == src.size()) {
-          ++thread_idx;
-          offset = 0;
+        // Flush the image: one contiguous write for the append run, one
+        // per maximal run of consecutive replaced slots — bulk traffic,
+        // not per-edge stores.
+        append_items = staging.appends().size();
+        replace_items = staging.replace_count();
+        if (append_items > 0) {
+          dpu.mram().write(sample_base + staging.base_slot() * sizeof(Edge),
+                           staging.appends().data(),
+                           static_cast<std::size_t>(append_items *
+                                                    sizeof(Edge)));
         }
       }
-
-      // Flush the image: one contiguous write for the append run, one per
-      // maximal run of consecutive replaced slots — bulk traffic, not
-      // per-edge stores.
-      const std::uint64_t append_bytes =
-          staging.appends().size() * sizeof(Edge);
-      if (append_bytes > 0) {
-        dpu.mram().write(sample_base + staging.base_slot() * sizeof(Edge),
-                         staging.appends().data(),
-                         static_cast<std::size_t>(append_bytes));
-      }
+      const std::uint64_t append_bytes = append_items * sizeof(Edge);
       const std::uint64_t staged_bytes =
-          append_bytes + staging.replace_count() * kStagedReplaceBytes;
+          append_bytes + replace_items * kStagedReplaceBytes;
 
       // DPU-side receive cost: stream the staged image in, copy each record
       // into place (tasklet-parallel; the decisions were made host-side),
@@ -269,28 +325,31 @@ void PimTriangleCounter::insert_into_samples(double host_window_s) {
       // DMA stores.
       dpu.charge_dma_bulk(staged_bytes, 2048);  // landing-zone read
       dpu.charge_parallel_instr(
-          staging.staged_items() * config_.cost.edge_copy, recv_tasklets);
+          (append_items + replace_items) * config_.cost.edge_copy,
+          recv_tasklets);
       dpu.charge_dma_bulk(append_bytes, 2048);
-      staging.for_each_replace_run(
-          [&](std::uint64_t first_slot, const Edge* items, std::size_t n) {
-            const std::uint64_t bytes = n * sizeof(Edge);
-            dpu.mram().write(sample_base + first_slot * sizeof(Edge), items,
-                             static_cast<std::size_t>(bytes));
-            dpu.serial_dma(bytes);
-          });
+      if (replace_items > 0) {
+        staging.for_each_replace_run(
+            [&](std::uint64_t first_slot, const Edge* items, std::size_t n) {
+              const std::uint64_t bytes = n * sizeof(Edge);
+              dpu.mram().write(sample_base + first_slot * sizeof(Edge), items,
+                               static_cast<std::size_t>(bytes));
+              dpu.serial_dma(bytes);
+            });
+      }
 
-      flush_bytes_[plan_.dpu_of(static_cast<std::uint32_t>(t))] = staged_bytes;
+      flush_bytes_[bank] = staged_bytes;
     });
 
     // The host work of this staging round (plus, for the first round, the
-    // partitioning that preceded it) is the window that hides the previous
-    // flush's in-flight device time.
+    // two partition passes that preceded it) is the window that hides the
+    // previous flush's in-flight device time.
     settle_flush_round((round == 0 ? host_window_s : 0.0) +
                        stage_timer.elapsed_s());
   }
 
   for (std::uint32_t t = 0; t < num_triplets; ++t) {
-    edges_replicated_ += received_[t];
+    edges_replicated_ += batch_totals_[t];
   }
 }
 
@@ -374,24 +433,44 @@ void PimTriangleCounter::apply(std::span<const EdgeUpdate> batch) {
 
   WallTimer host_timer;
 
-  // Partition the ± stream per thread per triplet — the same shape as the
-  // insert path, and the same deterministic routing: a deletion reaches
-  // exactly the triplets its insertion reached (the color hash is
-  // orientation- and sign-blind).
-  for (auto& per_triplet : update_partition_) {
-    for (auto& v : per_triplet) v.clear();
-  }
+  // Route the ± stream through the same two-pass partition as the insert
+  // path, with the same deterministic routing: a deletion reaches exactly
+  // the triplets its insertion reached (the color hash is orientation- and
+  // sign-blind).  Every record lands in the host array: deletions resolve
+  // against the mirrors.
+  const std::uint32_t num_triplets = plan_.num_triplets();
   const color::EdgePartitioner partitioner(hash_, plan_.table());
+  const auto for_each_update = [&](std::size_t lo, std::size_t hi,
+                                   const auto& visit) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (!batch[i].edge.is_loop()) visit(batch[i]);
+    }
+  };
+  std::fill(route_positions_.begin(), route_positions_.end(), 0);
   pool().parallel_chunks(
       batch.size(), [&](std::size_t t, std::size_t lo, std::size_t hi) {
-        auto& batches = update_partition_[t];
-        for (std::size_t i = lo; i < hi; ++i) {
-          const EdgeUpdate& u = batch[i];
-          if (u.edge.is_loop()) continue;
+        std::uint64_t* counts = route_positions_.data() + t * num_triplets;
+        for_each_update(lo, hi, [&](const EdgeUpdate& u) {
           for (const std::uint32_t d : partitioner.targets(u.edge)) {
-            batches[d].push_back(u);
+            ++counts[d];
           }
-        }
+        });
+      });
+  const std::uint64_t max_per_triplet = prefix_routes();
+  std::uint64_t records = 0;
+  for (std::uint32_t t = 0; t < num_triplets; ++t) {
+    batch_offsets_[t] = records;
+    records += batch_totals_[t];
+  }
+  routed_updates_.resize(static_cast<std::size_t>(records));
+  pool().parallel_chunks(
+      batch.size(), [&](std::size_t t, std::size_t lo, std::size_t hi) {
+        std::uint64_t* cursor = route_positions_.data() + t * num_triplets;
+        for_each_update(lo, hi, [&](const EdgeUpdate& u) {
+          for (const std::uint32_t d : partitioner.targets(u.edge)) {
+            routed_updates_[batch_offsets_[d] + cursor[d]++] = u;
+          }
+        });
       });
 
   // Stream bookkeeping.  Deletions decrement the Misra-Gries degree
@@ -414,39 +493,24 @@ void PimTriangleCounter::apply(std::span<const EdgeUpdate> batch) {
       }
     }
   }
-  apply_updates_to_samples(host_timer.elapsed_s());
+  apply_updates_to_samples(max_per_triplet, host_timer.elapsed_s());
 
   system_->charge_host(host_timer.elapsed_s(), &PhaseTimes::host_s);
 }
 
-void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
+void PimTriangleCounter::apply_updates_to_samples(
+    std::uint64_t max_per_triplet, double host_window_s) {
   const std::uint32_t num_dpus = system_->num_dpus();
   const std::uint32_t num_triplets = plan_.num_triplets();
   const std::uint32_t recv_tasklets = config_.tasklets;
   const std::uint64_t sample_base = MramLayout::sample_offset();
 
-  std::uint64_t max_per_triplet = 0;
-  for (std::uint32_t t = 0; t < num_triplets; ++t) {
-    std::uint64_t total = 0;
-    for (const auto& per_triplet : update_partition_) {
-      total += per_triplet[t].size();
-    }
-    batch_totals_[t] = total;
-    max_per_triplet = std::max(max_per_triplet, total);
-  }
   if (max_per_triplet == 0) {
     drain_in_flight(host_window_s);
     return;
   }
 
-  if (plan_.policy() == color::PlacementPolicy::kGreedyBalance &&
-      !placement_observed_) {
-    placement_observed_ = true;
-    apply_placement(plan_.balanced_placement(batch_totals_));
-  }
-
   WallTimer stage_timer;
-  std::fill(received_.begin(), received_.end(), 0);
 
   // Phase 1 (host only): replay each triplet's update list in stream
   // order against its policy and mirror, collecting the touched slots.
@@ -459,27 +523,27 @@ void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
     touched.clear();
 
     bool lost_resident = false;
-    for (const auto& per_triplet : update_partition_) {
-      for (const EdgeUpdate& u : per_triplet[t]) {
-        if (u.is_insert) {
-          const sketch::ReservoirDecision d = reservoir.offer();
-          mirror.apply(d, u.edge);
-          if (d.action != sketch::ReservoirDecision::Action::kDiscard) {
-            touched.push_back(d.slot);
-          }
-        } else {
-          // Deletions match either orientation of the stored edge.
-          auto slot = mirror.evict(u.edge);
-          if (!slot) slot = mirror.evict(u.edge.reversed());
-          if (slot) {
-            reservoir.remove_resident();
-            lost_resident = true;
-            touched.push_back(*slot);
-          } else {
-            (void)reservoir.remove_missing();
-          }
+    const std::span<const EdgeUpdate> updates(
+        routed_updates_.data() + batch_offsets_[t],
+        static_cast<std::size_t>(batch_totals_[t]));
+    for (const EdgeUpdate& u : updates) {
+      if (u.is_insert) {
+        const sketch::ReservoirDecision d = reservoir.offer();
+        mirror.apply(d, u.edge);
+        if (d.action != sketch::ReservoirDecision::Action::kDiscard) {
+          touched.push_back(d.slot);
         }
-        ++received_[t];
+      } else {
+        // Deletions match either orientation of the stored edge.
+        auto slot = mirror.evict(u.edge);
+        if (!slot) slot = mirror.evict(u.edge.reversed());
+        if (slot) {
+          reservoir.remove_resident();
+          lost_resident = true;
+          touched.push_back(*slot);
+        } else {
+          (void)reservoir.remove_missing();
+        }
       }
     }
     if (lost_resident) triplet_dirty_[t] = 1;
@@ -504,7 +568,7 @@ void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
   if (max_touched == 0) {
     drain_in_flight(host_window_s + stage_timer.elapsed_s());
     for (std::uint32_t t = 0; t < num_triplets; ++t) {
-      edges_replicated_ += received_[t];
+      edges_replicated_ += batch_totals_[t];
     }
     return;
   }
@@ -567,7 +631,7 @@ void PimTriangleCounter::apply_updates_to_samples(double host_window_s) {
   }
 
   for (std::uint32_t t = 0; t < num_triplets; ++t) {
-    edges_replicated_ += received_[t];
+    edges_replicated_ += batch_totals_[t];
   }
 }
 

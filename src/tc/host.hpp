@@ -7,20 +7,30 @@
 // ablation benches construct it directly for its introspection (system(),
 // plan(), rebalance(), restore_bank(), ...).
 //
-// Pipeline per batch of COO edges (paper Sections 3.1-3.3):
-//   1. host threads stream their chunk of the batch: uniform sampling
-//      (discard with prob. 1-p), Misra-Gries degree summaries, and
-//      per-triplet partitioning into persistent per-thread buffers
-//      (reused across batches — no per-batch allocation),
-//   2. the host computes the reservoir decisions for every triplet and
-//      materializes them into persistent per-triplet staging images
-//      (sketch::ReservoirStaging): appends coalesce to one contiguous run,
-//      replacements fold to their final value,
-//   3. each image is flushed with ONE bulk rank-parallel scatter per batch
+// Pipeline per batch of COO edges (paper Sections 3.1-3.3), a flat
+// two-pass partition:
+//   1. pass 1: host threads stream their chunk of the batch — uniform
+//      sampling (discard with prob. 1-p), Misra-Gries degree summaries —
+//      and only count their records per triplet; an exclusive prefix over
+//      threads gives each thread its first position in each triplet's
+//      share (greedy_balance placement is decided here, from the totals),
+//   2. pass 2 redraws the same sampler coins and writes every kept record
+//      once, at its final position: straight into the triplet's bank
+//      sample slots when the batch only appends to its reservoir (nothing
+//      pending, no host mirrors, the batch fits), else into one flat
+//      triplet-major host array,
+//   3. host-array records go through the reservoir decisions into
+//      persistent per-triplet staging images (sketch::ReservoirStaging):
+//      appends coalesce to one contiguous run, replacements fold to their
+//      final value,
+//   4. each round flushes with ONE bulk rank-parallel scatter per batch
 //      (or per staging-capacity round), padded per rank to the slowest DPU
 //      as real dpu_push_xfer transfers are; the DPU-side receive applies
-//      the image with bulk DMA instead of per-edge writes.
-//
+//      the image with bulk DMA instead of per-edge writes.  A directly
+//      written triplet is charged, round by round, exactly what flushing
+//      its records as one append run costs, so the model cannot tell the
+//      two routes apart.
+
 // Which physical DPU a triplet's image lands on is the PartitionPlan's
 // decision (coloring/partition_plan.hpp): every estimator-visible quantity
 // (reservoirs, seeds, corrections) is keyed by *triplet* index, so the
@@ -171,11 +181,23 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   }
 
  private:
-  /// Computes reservoir decisions for the partitioned batch, flushes the
+  /// Exclusive prefix over threads of pass 1's counts: fills
+  /// batch_totals_, makes route_positions_ pass 2's write positions, and
+  /// applies greedy_balance's deferred placement on the first batch with
+  /// data.  Returns the largest triplet total.
+  std::uint64_t prefix_routes();
+
+  /// Decides, per triplet, whether the insert batch goes straight into the
+  /// bank (direct_) or into routed_edges_, and sets route_targets_.  A
+  /// direct triplet's reservoir registers its appends here.
+  void target_insert_routes();
+
+  /// Computes reservoir decisions for the routed batch, flushes the
   /// staging images via bulk scatter(s) and charges / pipelines the modeled
   /// device time.  `host_window_s` is measured host time preceding the
   /// first flush (the overlap window for any in-flight device work).
-  void insert_into_samples(double host_window_s);
+  void insert_into_samples(std::uint64_t max_per_triplet,
+                           double host_window_s);
 
   /// The fully-dynamic analogue: replays each triplet's ± update list in
   /// stream order against its reservoir policy and sample mirror, then
@@ -184,7 +206,8 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   /// records per round exactly as it bounds the insert path's images.
   /// Marks triplets whose resident sample lost an edge as dirty: their
   /// persistent sorted arcs are stale.
-  void apply_updates_to_samples(double host_window_s);
+  void apply_updates_to_samples(std::uint64_t max_per_triplet,
+                                double host_window_s);
 
   /// Builds the per-triplet sample mirrors from the resident bank contents
   /// via one rank-parallel gather (charged to the ingest phase).  Insert-
@@ -258,10 +281,31 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   std::uint64_t capacity_ = 0;
 
   // ---- persistent ingestion state (reused across batches) -----------------
-  /// Per-thread, per-triplet partition buffers filled by the streaming phase.
-  std::vector<std::vector<std::vector<Edge>>> partition_;
-  /// Same shape for ± update batches (the fully-dynamic path).
-  std::vector<std::vector<std::vector<EdgeUpdate>>> update_partition_;
+  /// The flat two-pass partition of the current batch — the paper's "one
+  /// edge array per host thread per PIM core" (Section 3.1) kept as counts
+  /// only.  Pass 1 counts thread t's records for triplet d into
+  /// route_positions_[t * triplets + d]; the exclusive prefix over threads
+  /// turns each count into t's first position in d's share, and pass 2
+  /// advances it as it writes.
+  std::vector<std::uint64_t> route_positions_;
+  /// Per-triplet records in the current batch, and the start of the
+  /// triplet's slice of the flat host array (routed_edges_ or
+  /// routed_updates_).
+  std::vector<std::uint64_t> batch_totals_;
+  std::vector<std::uint64_t> batch_offsets_;
+  /// Per-triplet: the current insert batch only appends to the reservoir,
+  /// so pass 2 writes it straight into the bank (no host copy).
+  std::vector<std::uint8_t> direct_;
+  /// Per-triplet destination of pass 2's insert records: the triplet's
+  /// first free sample slot in its bank when direct_, else its slice of
+  /// routed_edges_.  Valid for the current batch only.
+  std::vector<Edge*> route_targets_;
+  /// Triplet-major insert records of the triplets that are not direct,
+  /// consumed by the staging rounds.
+  std::vector<Edge> routed_edges_;
+  /// Triplet-major records of a ± batch (deletions resolve against the
+  /// host mirrors, so no triplet is direct).
+  std::vector<EdgeUpdate> routed_updates_;
   /// Per-triplet scratch: slots touched by the current update batch.
   std::vector<std::vector<std::uint64_t>> touched_slots_;
   /// Per-triplet "resident sample lost an edge since the last count" flag;
@@ -271,15 +315,10 @@ class PimTriangleCounter final : public engine::TriangleCountEngine {
   std::vector<std::uint8_t> triplet_dirty_;
   /// Per-triplet staging images (reservoir decisions materialized host-side).
   std::vector<sketch::ReservoirStaging<Edge>> staging_;
-  /// Per-triplet drain cursor into partition_ ((thread, offset) per round).
-  std::vector<std::pair<std::size_t, std::size_t>> cursors_;
-  /// Per-triplet batch totals (greedy placement input; reused).
-  std::vector<std::uint64_t> batch_totals_;
   /// Per-DPU staged payload bytes of the current round's scatter.
   std::vector<std::uint64_t> flush_bytes_;
-  /// Per-DPU cycle snapshot / per-triplet offered-edge tally (reused).
+  /// Per-DPU cycle snapshot at the start of a flush round (reused).
   std::vector<double> cycles_before_;
-  std::vector<std::uint64_t> received_;
   /// Modeled scatter+receive seconds of the last flush, not yet charged
   /// (pipelined ingest keeps it in flight until host work overlaps it).
   double in_flight_device_s_ = 0.0;

@@ -396,8 +396,8 @@ void copy_edges(Dpu& dpu, const KernelParams& p, std::span<const Edge> edges,
   store(dpu, dst, edges);
 }
 
-/// Builds the region index over `sorted` (host copy of the sorted array) at
-/// `reg`, returning its host copy in `out`.  Two parallel passes: count
+/// Builds the region index over `sorted` (host copy of the sorted array),
+/// modeled at `reg`, into `out`.  Two parallel passes: count
 /// region starts per block, then write RegionEntry records at exclusive-
 /// prefix offsets.
 void build_regions(Dpu& dpu, const KernelParams& p,
@@ -456,7 +456,11 @@ void build_regions(Dpu& dpu, const KernelParams& p,
     scan_block(t, blk);
     charge_stream(t, counts[t.id()], p.buffer_edges, sizeof(RegionEntry));
   });
-  store<RegionEntry>(dpu, reg, out);
+  // No launch or host path reads the index back (each launch rebuilds it
+  // in `out`), so its extent is only bounds-checked against the bank.
+  if (!out.empty()) {
+    dpu.mram().check_range(reg, out.size() * sizeof(RegionEntry));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -713,8 +717,8 @@ std::uint64_t count_incremental(Dpu& dpu, const KernelParams& p,
   return total;
 }
 
-/// Zeroes the first n flag bytes (parallel chunked writes); `flags` is the
-/// host copy, cleared alongside.
+/// Models zeroing the first n flag bytes (parallel chunked writes) and
+/// clears `flags`, the kernel-scratch copy the counting pass reads.
 void clear_flags(Dpu& dpu, const KernelParams& p, std::uint64_t offset,
                  std::vector<std::uint8_t>& flags) {
   const std::uint64_t n = flags.size();
@@ -729,7 +733,8 @@ void clear_flags(Dpu& dpu, const KernelParams& p, std::uint64_t offset,
     t.instr(ceil_div(len, buffer) * p.cost.loop_overhead);
   });
   std::fill(flags.begin(), flags.end(), 0);
-  store<std::uint8_t>(dpu, offset, flags);
+  // The flags live in the kernel scratch; the bank range is only checked.
+  if (!flags.empty()) dpu.mram().check_range(offset, flags.size());
 }
 
 /// Clamps the stream-buffer size into [4, max_wram_buffer_edges] — a safety

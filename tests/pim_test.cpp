@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/math_util.hpp"
@@ -77,6 +78,27 @@ TEST(MramTest, LazyGrowth) {
   EXPECT_EQ(bank.resident_bytes(), 64u << 10);
   // A deep write touches one more page only.
   bank.write_t<std::uint8_t>(32ull << 20, 1);
+  EXPECT_EQ(bank.resident_bytes(), 2 * (64u << 10));
+}
+
+TEST(MramTest, WritableViewIsAccountedLikeAWrite) {
+  // A view of a range costs what write() of that range costs: bounds
+  // check, resident pages, high-water mark, one write call; what the
+  // caller stores through it reads back.
+  MramBank bank(1 << 20);
+  const std::span<std::uint64_t> view =
+      bank.writable_t<std::uint64_t>((64u << 10) - 16, 4);
+  ASSERT_EQ(view.size(), 4u);
+  std::iota(view.begin(), view.end(), std::uint64_t{10});
+  EXPECT_EQ(bank.write_calls(), 1u);
+  EXPECT_EQ(bank.high_water(), (64u << 10) + 16);
+  EXPECT_EQ(bank.resident_bytes(), 2 * (64u << 10));  // straddles a page
+  EXPECT_EQ(bank.read_t<std::uint64_t>(64u << 10), 12u);
+
+  EXPECT_TRUE(bank.writable(4096, 0).empty());
+  EXPECT_EQ(bank.write_calls(), 2u);
+  EXPECT_THROW((void)bank.writable((1 << 20) - 8, 16), PimMemoryError);
+  EXPECT_THROW((void)bank.writable_t<std::uint64_t>(4, 1), PimMemoryError);
   EXPECT_EQ(bank.resident_bytes(), 2 * (64u << 10));
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -189,6 +190,31 @@ TEST(ReservoirTest, DecisionsAreValid) {
       EXPECT_LT(d.slot, 5u);
     }
   }
+}
+
+TEST(ReservoirTest, OfferAppendsMatchesThatManyOffers) {
+  // Closed-form appends leave the policy exactly where the offers would,
+  // RNG stream included: the next decisions agree.
+  ReservoirPolicy bulk(12, 8);
+  ReservoirPolicy one_by_one(12, 8);
+  bulk.offer_appends(5);
+  bulk.offer_appends(7);
+  for (int i = 0; i < 12; ++i) (void)one_by_one.offer();
+  EXPECT_EQ(bulk.seen(), 12u);
+  EXPECT_EQ(bulk.stored(), 12u);
+  EXPECT_EQ(bulk.net_size(), 12u);
+  for (int i = 0; i < 200; ++i) {
+    const ReservoirDecision a = bulk.offer();
+    const ReservoirDecision b = one_by_one.offer();
+    EXPECT_EQ(a.action, b.action);
+    EXPECT_EQ(a.slot, b.slot);
+  }
+  // Past capacity, or with deletions pending, offers may not append.
+  EXPECT_THROW(bulk.offer_appends(1), std::logic_error);
+  ReservoirPolicy pending(12, 9);
+  pending.offer_appends(3);
+  pending.remove_resident();
+  EXPECT_THROW(pending.offer_appends(1), std::logic_error);
 }
 
 TEST(ReservoirTest, ReplacementRateMatchesTheory) {

@@ -481,6 +481,84 @@ TEST(TcIngestTest, BulkScatterIssuesFarFewerMramWritesThanPerEdge) {
       << "ingest should batch MRAM writes, not issue one per edge";
 }
 
+TEST(TcIngestTest, SamplesAndModeledCostsIndependentOfHostThreads) {
+  // With p = 1 each triplet receives its records in stream order however
+  // many host threads partition the batch, so the reservoir decisions, the
+  // modeled charges and the bytes left in every bank must not depend on
+  // the thread count.  A wrong per-thread offset only reorders a sample
+  // when more than one thread runs.
+  graph::EdgeList g = graph::gen::community(2000, 50, 0.5, 1500, 71);
+  graph::preprocess(g, 72);
+  const auto edges = g.edges();
+  const std::size_t n = edges.size();
+
+  struct Run {
+    engine::CountReport report;
+    std::vector<std::vector<Edge>> samples;  ///< per bank, resident prefix
+  };
+  const auto run = [&](std::uint32_t threads) {
+    engine::EngineConfig cfg = exact_config(3);
+    cfg.host_threads = threads;
+    cfg.pipelined_ingest = false;  // ingest_s must not depend on host time
+    cfg.sample_capacity_edges = n / 5;  // the third batch overflows some
+    PimTriangleCounter counter(cfg);
+    const std::size_t step = n / 3;
+    for (std::size_t b = 0; b < 3; ++b) {
+      const std::size_t lo = b * step;
+      const std::size_t hi = b == 2 ? n : lo + step;
+      counter.add_edges(edges.subspan(lo, hi - lo));
+    }
+    counter.remove_edges(edges.subspan(n / 2, n / 10));
+    Run r;
+    r.report = counter.recount();
+    const pim::PimSystem& sys = counter.system();
+    for (std::uint32_t d = 0; d < sys.num_dpus(); ++d) {
+      const pim::MramBank& bank = sys.dpu(d).mram();
+      const auto meta = bank.read_t<DpuMeta>(MramLayout::kMetaOffset);
+      std::vector<Edge> sample(meta.sample_size);
+      bank.read(MramLayout::sample_offset(), sample.data(),
+                sample.size() * sizeof(Edge));
+      r.samples.push_back(std::move(sample));
+    }
+    return r;
+  };
+
+  const Run one = run(1);
+  ASSERT_GT(one.report.reservoir_overflows, 0u);
+  ASSERT_GT(one.report.sample_evictions, 0u);
+  for (const std::uint32_t threads : {3u, 7u}) {
+    SCOPED_TRACE("host_threads=" + std::to_string(threads));
+    const Run r = run(threads);
+    EXPECT_EQ(r.report.estimate, one.report.estimate);
+    EXPECT_EQ(r.report.raw_total, one.report.raw_total);
+    EXPECT_EQ(r.report.times.setup_s, one.report.times.setup_s);
+    EXPECT_EQ(r.report.times.ingest_s, one.report.times.ingest_s);
+    EXPECT_EQ(r.report.times.count_s, one.report.times.count_s);
+    EXPECT_EQ(r.report.kernel.instructions, one.report.kernel.instructions);
+    EXPECT_EQ(r.report.transfers.push_transfers,
+              one.report.transfers.push_transfers);
+    EXPECT_EQ(r.report.transfers.push_payload_bytes,
+              one.report.transfers.push_payload_bytes);
+    EXPECT_EQ(r.report.transfers.push_wire_bytes,
+              one.report.transfers.push_wire_bytes);
+    EXPECT_EQ(r.report.transfers.pull_payload_bytes,
+              one.report.transfers.pull_payload_bytes);
+    EXPECT_EQ(r.samples, one.samples);
+  }
+}
+
+TEST(TcIngestTest, FreshEngineHasNoBankResident) {
+  // A bank maps on its first write, and building the engine writes none:
+  // never-written banks read as zeros and every launch writes its own
+  // control block.
+  auto eng = engine::make_engine("pim", exact_config(6));
+  const auto& counter = dynamic_cast<const PimTriangleCounter&>(*eng);
+  const pim::PimSystem& sys = counter.system();
+  for (std::uint32_t d = 0; d < sys.num_dpus(); ++d) {
+    EXPECT_EQ(sys.dpu(d).mram().resident_bytes(), 0u) << "bank " << d;
+  }
+}
+
 TEST(TcIngestTest, PipeliningReportsOverlapAndNeverInflatesIngest) {
   graph::EdgeList g = graph::gen::community(1500, 40, 0.5, 1200, 65);
   graph::preprocess(g, 66);
